@@ -9,10 +9,8 @@ from .channel import (
     condition_probs,
     cptp_residuals,
     forward_probs,
-    gradient,
     identity_choi,
     is_cptp,
-    neg_log_likelihood,
 )
 from .ensembles import (
     EnsembleSpec,
@@ -46,19 +44,18 @@ from .linalg import (
     vec_inv,
 )
 from .projections import (
-    m_operator,
     project_cp,
-    project_cptp_averaged,
     project_cptp_dykstra,
     project_tni,
     project_tp,
-    project_tp_m_form,
     project_us_p,
 )
 from .solvers import (
     DiaConfig,
     PgdbConfig,
     SolverReport,
+    gradient,
+    neg_log_likelihood,
     solve_dia,
     solve_lifp,
     solve_linear_inversion,
@@ -66,58 +63,3 @@ from .solvers import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CountsTable",
-    "TomographySetup",
-    "apply_channel",
-    "build_design",
-    "choi_from_kraus",
-    "condition_probs",
-    "cptp_residuals",
-    "forward_probs",
-    "gradient",
-    "identity_choi",
-    "is_cptp",
-    "neg_log_likelihood",
-    "EnsembleSpec",
-    "SimulationSpec",
-    "design_condition_number",
-    "j_distance",
-    "minimal_setup",
-    "quasi_pure_weights",
-    "random_cptp",
-    "random_quasi_pure",
-    "simulate_counts",
-    "ConvergenceError",
-    "DimensionError",
-    "DomainError",
-    "QptError",
-    "SingularMatrixError",
-    "StalledStepError",
-    "eigh",
-    "frobenius_inner",
-    "hermitize",
-    "kron",
-    "partial_trace_in",
-    "partial_trace_out",
-    "psd_sqrt_inv",
-    "trace_norm",
-    "vec",
-    "vec_inv",
-    "m_operator",
-    "project_cp",
-    "project_cptp_averaged",
-    "project_cptp_dykstra",
-    "project_tni",
-    "project_tp",
-    "project_tp_m_form",
-    "project_us_p",
-    "DiaConfig",
-    "PgdbConfig",
-    "SolverReport",
-    "solve_dia",
-    "solve_lifp",
-    "solve_linear_inversion",
-    "solve_pgdb",
-]

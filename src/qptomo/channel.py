@@ -1,4 +1,4 @@
-"""Choi representation of channels, tomography setups and the likelihood model.
+"""Choi representation of channels, tomography setups and the forward model.
 
 A channel is represented by its d^2 x d^2 Choi operator on the space
 input (x) output, built from the matrix units E_ij as::
@@ -19,14 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import (
-    hermitize,
-    kron,
-    partial_trace_in,
-    partial_trace_out,
-    vec,
-    vec_inv,
-)
+from .linalg import hermitize, kron, partial_trace_in, partial_trace_out, vec
 
 #: CPTP acceptance tolerances: smallest admissible eigenvalue and largest
 #: admissible Frobenius distance of the output partial trace from identity.
@@ -70,14 +63,17 @@ def apply_channel(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return partial_trace_in(kron(rho.T, np.eye(d)) @ choi, d)
 
 
+def tp_distance(choi: np.ndarray, d: int | None = None) -> float:
+    """Frobenius distance of Tr_out(C) from the identity."""
+    tr_out = partial_trace_out(choi, d)
+    return float(np.linalg.norm(tr_out - np.eye(tr_out.shape[0])))
+
+
 def cptp_residuals(choi: np.ndarray, d: int | None = None) -> tuple[float, float]:
     """(min eigenvalue, Frobenius distance of Tr_out to identity)."""
     choi = np.asarray(choi)
-    if d is None:
-        d = round(choi.shape[0] ** 0.5)
     min_eig = float(np.linalg.eigvalsh(hermitize(choi)).min())
-    tp_dist = float(np.linalg.norm(partial_trace_out(choi, d) - np.eye(d)))
-    return min_eig, tp_dist
+    return min_eig, tp_distance(choi, d)
 
 
 def is_cptp(choi: np.ndarray, eps_cp: float = EPS_CP, eps_tp: float = EPS_TP) -> bool:
@@ -95,7 +91,7 @@ class TomographySetup:
     row order (i, j) with the preparation index i major.
     """
 
-    def __init__(self, preparations, povm, validate: bool = True):
+    def __init__(self, preparations, povm):
         self.preparations = [np.asarray(r, dtype=complex) for r in preparations]
         self.povm = [np.asarray(e, dtype=complex) for e in povm]
         if not self.preparations or not self.povm:
@@ -105,10 +101,6 @@ class TomographySetup:
             if op.shape != (d, d):
                 raise DimensionError(f"operator shape {op.shape} does not match d={d}")
         self.d = d
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
         for i, rho in enumerate(self.preparations):
             if np.abs(rho - rho.conj().T).max() > 1e-10:
                 raise DomainError(f"preparation {i} is not Hermitian")
@@ -190,6 +182,8 @@ class CountsTable:
         self.n = np.asarray(self.n, dtype=float)
         if self.n.ndim != 2:
             raise DimensionError("counts table must be 2-D (preparation x outcome)")
+        if not np.isfinite(self.n).all():
+            raise DomainError("frequencies must be finite")
         if self.n.min() < -1e-12:
             raise DomainError(f"negative frequency {self.n.min():.3e}")
         sums = self.n.sum(axis=1)
@@ -219,33 +213,3 @@ def _check_counts(setup: TomographySetup, counts: CountsTable) -> None:
             f"counts shape {counts.n.shape} does not match setup "
             f"({setup.n_prep} x {setup.n_povm})"
         )
-
-
-def neg_log_likelihood(
-    choi: np.ndarray,
-    setup: TomographySetup,
-    counts: CountsTable,
-    eps_cond: float = EPS_COND,
-) -> float:
-    """Multinomial cost f(C) = -sum_ij n_ij ln p_ij with conditioned p."""
-    _check_counts(setup, counts)
-    p, _ = condition_probs(forward_probs(choi, setup), eps_cond)
-    return float(-(counts.flat @ np.log(p)))
-
-
-def gradient(
-    choi: np.ndarray,
-    setup: TomographySetup,
-    counts: CountsTable,
-    eps_cond: float = EPS_COND,
-) -> np.ndarray:
-    """Frobenius gradient of the cost, the Hermitian matrix -A^dagger eta.
-
-    eta_ij = n_ij / p_ij with the same conditioning floor as the cost, so
-    the pair stays consistent for line searches and finite differences.
-    """
-    _check_counts(setup, counts)
-    p, _ = condition_probs(forward_probs(choi, setup), eps_cond)
-    eta = counts.flat / p
-    d2 = setup.d**2
-    return hermitize(vec_inv(-(setup.design.conj().T @ eta), d2, d2))

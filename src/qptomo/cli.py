@@ -12,9 +12,8 @@ cap reached (the best iterate is still written).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from .ensembles import (
 )
 from .errors import ConvergenceError, QptError, StalledStepError
 from .projections import (
+    DYKSTRA_TOL,
     project_cp,
     project_cptp_dykstra,
     project_tni,
@@ -42,7 +42,6 @@ from .projections import (
 from .solvers import (
     DiaConfig,
     PgdbConfig,
-    SolverReport,
     solve_dia,
     solve_lifp,
     solve_pgdb,
@@ -166,22 +165,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _report_dict(report: SolverReport) -> dict:
-    return {
-        "method": report.method,
-        "status": report.status,
-        "iterations": report.iterations,
-        "final_cost": report.final_cost,
-        "cost_trace": report.cost_trace,
-        "step_trace": report.step_trace,
-        "conditioning_heralded": report.conditioning_heralded,
-        "min_prob_seen": report.min_prob_seen,
-        "wall_time_s": report.wall_time_s,
-        "pre_projection_min_eigenvalue": report.pre_projection_min_eigenvalue,
-        "pre_projection_tp_distance": report.pre_projection_tp_distance,
-    }
-
-
 def _cmd_reconstruct(args) -> int:
     counts, info = io.load_counts(args.counts.read_text())
     setup = _load_setup_for(info["d"], args.setup)
@@ -190,7 +173,7 @@ def _cmd_reconstruct(args) -> int:
     def write(est, report, exit_code):
         meta = {"method": args.method, "status": report.status}
         args.out.write_text(io.dump_choi(est, setup.d, meta))
-        report_path.write_text(json.dumps(_report_dict(report), indent=1) + "\n")
+        report_path.write_text(json.dumps(dataclasses.asdict(report), indent=1) + "\n")
         print(f"{args.method}: {report.status}, {report.iterations} iterations, "
               f"final cost {report.final_cost:.12g}")
         return exit_code
@@ -208,10 +191,9 @@ def _cmd_reconstruct(args) -> int:
             if args.max_iters is not None:
                 cfg.max_outer_iterations = args.max_iters
             est, report = solve_dia(setup, counts, cfg)
-        elif args.dykstra_tol is not None:
-            est, report = solve_lifp(setup, counts, dykstra_tol=args.dykstra_tol)
         else:
-            est, report = solve_lifp(setup, counts)
+            tol = DYKSTRA_TOL if args.dykstra_tol is None else args.dykstra_tol
+            est, report = solve_lifp(setup, counts, tol)
     except (ConvergenceError, StalledStepError) as err:
         if err.report is None or getattr(err, "last_iterate", None) is None:
             raise
@@ -285,26 +267,13 @@ def _cmd_benchmark(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise QptError(f"unknown method {m!r}")
-    tasks = [
-        (d, n, trial)
+    rows = [
+        row
         for d in d_list
         for n in n_list
         for trial in range(args.trials)
+        for row in _benchmark_trial(d, n, trial, args.seed, methods, args.timings)
     ]
-    workers = int(os.environ.get("QPTOMO_BENCH_THREADS", "1"))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda t: _benchmark_trial(t[0], t[1], t[2], args.seed,
-                                           methods, args.timings),
-                tasks,
-            ))
-    else:
-        results = [
-            _benchmark_trial(d, n, trial, args.seed, methods, args.timings)
-            for d, n, trial in tasks
-        ]
-    rows = [row for chunk in results for row in chunk]
     args.out.write_text(io.dump_benchmark(rows))
     ok = sum(1 for row in rows if row.endswith(",ok"))
     print(f"{ok}/{len(rows)} rows succeeded")

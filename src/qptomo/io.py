@@ -35,6 +35,9 @@ BENCHMARK_HEADER = (
 )
 BENCHMARK_VERSION = "# qptomo-benchmark-v1"
 
+#: Largest admissible entry of C - C^dagger in a Choi file.
+HERMITICITY_TOL = 1e-6
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -71,28 +74,44 @@ def dump_choi(mat: np.ndarray, d: int, metadata: dict[str, str] | None = None) -
 
 
 def _parse_matrix(doc: dict, d2: int, what: str) -> np.ndarray:
-    re = np.asarray(doc["re"], dtype=float)
-    im = np.asarray(doc["im"], dtype=float)
+    try:
+        re = np.asarray(doc["re"], dtype=float)
+        im = np.asarray(doc["im"], dtype=float)
+    except (KeyError, TypeError, ValueError) as err:
+        raise DomainError(f"{what}: bad matrix blocks: {err}") from err
     if re.shape != (d2, d2) or im.shape != (d2, d2):
         raise DomainError(f"{what}: matrix blocks must be {d2}x{d2}")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise DomainError(f"{what}: matrix entries must be finite")
     return re + 1j * im
 
 
-def load_choi(text: str, hermiticity_tol: float = 1e-6) -> tuple[np.ndarray, int, dict]:
-    """Parse a Choi file; returns (matrix, d, metadata)."""
+def _load_doc(text: str, fmt: str) -> tuple[dict, int]:
+    """Parse a JSON document of format ``fmt``; returns (document, d)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise DomainError(f"not valid JSON: {err}") from err
-    if doc.get("format") != CHOI_FORMAT:
-        raise DomainError(f"expected format {CHOI_FORMAT!r}, got {doc.get('format')!r}")
-    d = int(doc["d"])
+    if not isinstance(doc, dict):
+        raise DomainError(f"expected a JSON object, got {type(doc).__name__}")
+    if doc.get("format") != fmt:
+        raise DomainError(f"expected format {fmt!r}, got {doc.get('format')!r}")
+    d = doc.get("d")
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise DomainError(f"dimension d must be a positive integer, got {d!r}")
+    return doc, d
+
+
+def load_choi(text: str) -> tuple[np.ndarray, int, dict]:
+    """Parse a Choi file; returns (matrix, d, metadata)."""
+    doc, d = _load_doc(text, CHOI_FORMAT)
     mat = _parse_matrix(doc, d * d, "Choi file")
-    if np.abs(mat - mat.conj().T).max() > hermiticity_tol:
-        raise DomainError(
-            f"matrix is not Hermitian within {hermiticity_tol:g}"
-        )
-    return mat, d, dict(doc.get("metadata", {}))
+    if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
+        raise DomainError(f"matrix is not Hermitian within {HERMITICITY_TOL:g}")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise DomainError("metadata must be a JSON object")
+    return mat, d, dict(metadata)
 
 
 def dump_counts(counts: CountsTable, d: int, n_samples, seed) -> str:
@@ -124,24 +143,38 @@ def load_counts(text: str) -> tuple[CountsTable, dict]:
         d = int(header["d"])
         n_prep = int(header["n_prep"])
         n_povm = int(header["n_povm"])
+        n_samples = None if header["N"] == "inf" else int(header["N"])
+        seed = None if header.get("seed", "none") == "none" else int(header["seed"])
     except (KeyError, ValueError) as err:
         raise DomainError(f"bad counts header: {err}") from err
+    if min(d, n_prep, n_povm) < 1:
+        raise DomainError("counts header: d, n_prep and n_povm must be positive")
+    if n_prep * n_povm > len(lines) - 3:
+        raise DomainError(f"counts file has fewer than {n_prep * n_povm} rows")
     if lines[2].strip() != "i,j,n":
         raise DomainError("missing i,j,n column line")
     n = np.zeros((n_prep, n_povm))
+    seen = np.zeros((n_prep, n_povm), dtype=bool)
     for line in lines[3:]:
         line = line.strip()
         if not line:
             continue
         try:
             i_s, j_s, v_s = line.split(",")
-            n[int(i_s), int(j_s)] = float(v_s)
-        except (ValueError, IndexError) as err:
+            i, j, value = int(i_s), int(j_s), float(v_s)
+        except ValueError as err:
             raise DomainError(f"bad counts row {line!r}: {err}") from err
-    table = CountsTable(n)  # validates row normalization
-    info = {"d": d, "n_prep": n_prep, "n_povm": n_povm}
-    info["N"] = None if header.get("N") == "inf" else int(header["N"])
-    info["seed"] = None if header.get("seed") in (None, "none") else int(header["seed"])
+        if not (0 <= i < n_prep and 0 <= j < n_povm):
+            raise DomainError(f"counts row {line!r}: index out of range")
+        if seen[i, j]:
+            raise DomainError(f"counts row {line!r}: duplicate cell ({i}, {j})")
+        seen[i, j] = True
+        n[i, j] = value
+    if not seen.all():
+        i, j = np.argwhere(~seen)[0]
+        raise DomainError(f"counts file has no row for cell ({i}, {j})")
+    table = CountsTable(n)  # validates finiteness and row normalization
+    info = {"d": d, "n_prep": n_prep, "n_povm": n_povm, "N": n_samples, "seed": seed}
     return table, info
 
 
@@ -166,15 +199,12 @@ def dump_setup(setup: TomographySetup) -> str:
 
 
 def load_setup(text: str) -> TomographySetup:
+    doc, d = _load_doc(text, SETUP_FORMAT)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise DomainError(f"not valid JSON: {err}") from err
-    if doc.get("format") != SETUP_FORMAT:
-        raise DomainError(f"expected format {SETUP_FORMAT!r}, got {doc.get('format')!r}")
-    d = int(doc["d"])
-    preps = [_parse_matrix(item, d, "setup preparation") for item in doc["preparations"]]
-    povm = [_parse_matrix(item, d, "setup POVM element") for item in doc["povm"]]
+        preps = [_parse_matrix(item, d, "setup preparation") for item in doc["preparations"]]
+        povm = [_parse_matrix(item, d, "setup POVM element") for item in doc["povm"]]
+    except (KeyError, TypeError) as err:
+        raise DomainError(f"setup file: bad operator list: {err}") from err
     return TomographySetup(preps, povm)
 
 

@@ -9,29 +9,38 @@ Single-set projections (all orthogonal under the Frobenius norm):
 
 The composite CPTP projection alternates TP and CP with Dykstra correction
 terms, which converges to the closest point of the intersection (plain
-alternating or averaged projections only reach feasibility). The TP step
-uses the closed form
+alternating or averaged projections only reach feasibility). TP, US_p and
+TNI only move the output partial trace, through the embedding
 
-    TP(C) = C - (1/d) (Tr_out(C) - I) (x) I
+    C -> C + (1/d) Y (x) I
 
-in hot loops; the equivalent vectorized form through the sparse trace-out
-operator M is kept for testing.
+(TP takes Y = I - Tr_out(C)). The equivalent vectorized form through the
+sparse trace-out operator M is a test reference, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.sparse
 
-from .channel import EPS_CP, EPS_TP
+from .channel import EPS_TP, tp_distance
 from .errors import ConvergenceError, DomainError
-from .linalg import eigh, hermitize, kron, partial_trace_out, vec, vec_inv
+from .linalg import eigh, hermitize, partial_trace_out
 
 #: Algorithm default for the Dykstra stopping sum.
 DYKSTRA_TOL = 1e-4
 MAX_INNER_ITERATIONS = 20000
+
+
+def _add_out_identity(c: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
+    """C + (1/d) Y (x) I, adding Y/d to the output diagonal of a copy of C.
+
+    Works on the (d, d, d, d) view (in, out, in', out') of the copy, so no
+    d^2 x d^2 Kronecker product is built.
+    """
+    out = np.array(c, dtype=np.result_type(c, y), order="C")
+    k = np.arange(d)
+    out.reshape(d, d, d, d)[:, k, :, k] += y / d
+    return out
 
 
 def project_cp(c: np.ndarray) -> np.ndarray:
@@ -44,8 +53,7 @@ def project_tp(c: np.ndarray, d: int | None = None) -> np.ndarray:
     """Closest Choi operator with Tr_out(C) = I (affine projection)."""
     if d is None:
         d = round(c.shape[0] ** 0.5)
-    excess = partial_trace_out(c, d) - np.eye(d)
-    return c - kron(excess, np.eye(d)) / d
+    return _add_out_identity(c, np.eye(d) - partial_trace_out(c, d), d)
 
 
 def project_us_p(c: np.ndarray, p_success: float) -> np.ndarray:
@@ -53,8 +61,7 @@ def project_us_p(c: np.ndarray, p_success: float) -> np.ndarray:
     if not 0.0 < p_success <= 1.0:
         raise DomainError(f"p_success must lie in (0, 1], got {p_success}")
     d = round(c.shape[0] ** 0.5)
-    excess = partial_trace_out(c, d) - p_success * np.eye(d)
-    return c - kron(excess, np.eye(d)) / d
+    return _add_out_identity(c, p_success * np.eye(d) - partial_trace_out(c, d), d)
 
 
 def project_tni(c: np.ndarray) -> np.ndarray:
@@ -69,61 +76,7 @@ def project_tni(c: np.ndarray) -> np.ndarray:
     y = partial_trace_out(c, d)
     w, v = eigh(y)
     clipped = (v * np.minimum(w, 1.0)) @ v.conj().T
-    return c + kron(clipped - y, np.eye(d)) / d
-
-
-def m_operator(d: int) -> scipy.sparse.csr_matrix:
-    """Sparse d^2 x d^4 operator with M vec(C) = vec(Tr_out(C)).
-
-    Realizes sum_k I (x) <k| (x) I (x) <k| against column-stacking vec;
-    each row holds d unit entries. Satisfies M M^dagger = d I.
-    """
-    d2, d4 = d * d, d**4
-    rows = np.empty(d2 * d, dtype=np.int64)
-    cols = np.empty(d2 * d, dtype=np.int64)
-    idx = 0
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                rows[idx] = j * d + i
-                cols[idx] = (j * d + k) * d2 + (i * d + k)
-                idx += 1
-    data = np.ones(idx)
-    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(d2, d4))
-
-
-def project_tp_m_form(c: np.ndarray, p_success: float = 1.0) -> np.ndarray:
-    """Reference TP / US_p projection through the vectorized M operator.
-
-    vec(C) - (1/d) M^dagger M vec(C) + (p/d) M^dagger vec(I). Kept for
-    equivalence testing against the closed form used in hot loops.
-    """
-    d = round(c.shape[0] ** 0.5)
-    m = m_operator(d)
-    x = vec(c)
-    x = x - m.conj().T @ (m @ x) / d + p_success * (m.conj().T @ vec(np.eye(d))) / d
-    return vec_inv(x, d * d, d * d)
-
-
-def _tp_residual(x: np.ndarray, d: int) -> float:
-    return float(np.linalg.norm(partial_trace_out(vec_inv(x, d * d, d * d), d) - np.eye(d)))
-
-
-@dataclass
-class DykstraState:
-    """Iterate and correction vectors of the alternating projection loop."""
-
-    x: np.ndarray
-    y: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    iteration: int = 0
-
-    @classmethod
-    def start(cls, c: np.ndarray) -> "DykstraState":
-        x = vec(c)
-        zero = np.zeros_like(x)
-        return cls(x=x, y=zero.copy(), p=zero.copy(), q=zero.copy())
+    return _add_out_identity(c, clipped - y, d)
 
 
 def _dykstra(
@@ -132,37 +85,38 @@ def _dykstra(
     max_iterations: int,
     eps_tp: float,
 ) -> tuple[np.ndarray, int, float]:
-    """Core Dykstra loop; returns (matrix, iterations, stopping sum)."""
-    d2 = c.shape[0]
-    d = round(d2**0.5)
-    state = DykstraState.start(hermitize(np.asarray(c, dtype=complex)))
+    """Core Dykstra loop; returns (matrix, iterations, stopping sum).
+
+    ``x`` is the CP iterate, ``y`` the TP iterate, ``p`` and ``q`` the
+    corrections carried into the TP and CP steps.
+    """
+    d = round(c.shape[0] ** 0.5)
+    x = hermitize(np.asarray(c, dtype=complex))
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
     y_prev = None
     stop_sum = np.inf
     for k in range(max_iterations):
-        y = vec(project_tp(vec_inv(state.x + state.p, d2, d2), d))
-        p_new = state.x + state.p - y
-        x_new = vec(project_cp(vec_inv(y + state.q, d2, d2)))
-        q_new = y + state.q - x_new
+        y = project_tp(x + p, d)
+        p_new = x + p - y
+        x_new = project_cp(y + q)
+        q_new = y + q - x_new
         if k >= 1:
             # Robust stopping sum over successive corrections and iterates.
             stop_sum = (
-                float(np.linalg.norm(p_new - state.p) ** 2)
-                + float(np.linalg.norm(q_new - state.q) ** 2)
-                + 2.0 * abs(np.vdot(state.p, x_new - state.x))
-                + 2.0 * abs(np.vdot(state.q, y - y_prev))
+                float(np.linalg.norm(p_new - p) ** 2)
+                + float(np.linalg.norm(q_new - q) ** 2)
+                + 2.0 * abs(np.vdot(p, x_new - x))
+                + 2.0 * abs(np.vdot(q, y - y_prev))
             )
-            if stop_sum <= tol and _tp_residual(x_new, d) <= eps_tp:
-                return (
-                    hermitize(vec_inv(x_new, d2, d2)),
-                    k + 1,
-                    stop_sum,
-                )
+            if stop_sum <= tol and tp_distance(x_new, d) <= eps_tp:
+                return x_new, k + 1, stop_sum
         y_prev = y
-        state = DykstraState(x=x_new, y=y, p=p_new, q=q_new, iteration=k + 1)
+        x, p, q = x_new, p_new, q_new
     raise ConvergenceError(
         f"Dykstra projection did not converge in {max_iterations} iterations "
         f"(stopping sum {stop_sum:.3e})",
-        last_iterate=hermitize(vec_inv(state.x, d2, d2)),
+        last_iterate=x,
         residual=stop_sum,
     )
 
@@ -186,38 +140,3 @@ def project_cptp_dykstra(
         raise DomainError(f"tol must be positive, got {tol}")
     mat, _, _ = _dykstra(np.asarray(c, dtype=complex), tol, max_iterations, eps_tp)
     return mat
-
-
-def project_cptp_averaged(
-    c: np.ndarray,
-    tol: float = 1e-8,
-    max_iterations: int = MAX_INNER_ITERATIONS,
-    eps_cp: float = EPS_CP,
-    eps_tp: float = EPS_TP,
-) -> np.ndarray:
-    """Iterate the average of the TP and CP projections to feasibility.
-
-    Converges to a point of the CPTP set but, unlike Dykstra, not to the
-    closest one. Stops when successive iterates move less than ``tol`` in
-    Frobenius norm and the CPTP residuals are within tolerance.
-    """
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    h = hermitize(np.asarray(c, dtype=complex))
-    d = round(h.shape[0] ** 0.5)
-    delta = np.inf
-    for _ in range(max_iterations):
-        h_new = (project_tp(h, d) + project_cp(h)) / 2
-        delta = float(np.linalg.norm(h_new - h))
-        h = h_new
-        if delta <= tol:
-            min_eig = float(np.linalg.eigvalsh(hermitize(h)).min())
-            tp_dist = float(np.linalg.norm(partial_trace_out(h, d) - np.eye(d)))
-            if min_eig >= -eps_cp and tp_dist <= eps_tp:
-                return hermitize(h)
-    raise ConvergenceError(
-        f"averaged projections did not converge in {max_iterations} iterations "
-        f"(last step {delta:.3e})",
-        last_iterate=hermitize(h),
-        residual=delta,
-    )

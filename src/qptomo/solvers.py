@@ -21,6 +21,7 @@ from .channel import (
     _check_counts,
     condition_probs,
     cptp_residuals,
+    forward_probs,
 )
 from .errors import ConvergenceError, DomainError, StalledStepError
 from .linalg import (
@@ -29,7 +30,6 @@ from .linalg import (
     kron,
     partial_trace_out,
     psd_sqrt_inv,
-    vec,
     vec_inv,
 )
 from .projections import DYKSTRA_TOL, MAX_INNER_ITERATIONS, _dykstra
@@ -97,34 +97,64 @@ class SolverReport:
 
 
 class _Cost:
-    """Conditioned cost evaluations on probability vectors, with heralding."""
+    """Conditioned cost evaluations on probability vectors, with heralding.
+
+    The one implementation of the multinomial cost f(C) = -sum_ij n_ij ln p_ij
+    and its Frobenius gradient -A^dagger (n / p), both on probabilities
+    floored at ``eps_cond`` so the pair stays consistent for line searches
+    and finite differences.
+    """
 
     def __init__(self, setup: TomographySetup, counts: CountsTable, eps_cond: float):
         _check_counts(setup, counts)
-        self.design = setup.design
+        self.setup = setup
         self.n_flat = counts.flat
         self.eps_cond = eps_cond
         self.heralded = False
         self.min_prob = np.inf
 
     def probs(self, choi: np.ndarray) -> np.ndarray:
-        return (self.design @ vec(choi)).real
+        return forward_probs(choi, self.setup)
 
-    def from_probs(self, p: np.ndarray) -> float:
+    def _condition(self, p: np.ndarray) -> np.ndarray:
         self.min_prob = min(self.min_prob, float(p.min()))
         cond, raised = condition_probs(p, self.eps_cond)
         self.heralded |= raised
-        return float(-(self.n_flat @ np.log(cond)))
+        return cond
+
+    def from_probs(self, p: np.ndarray) -> float:
+        return float(-(self.n_flat @ np.log(self._condition(p))))
 
     def __call__(self, choi: np.ndarray) -> float:
         return self.from_probs(self.probs(choi))
 
     def gradient_from_probs(self, p: np.ndarray, d2: int) -> np.ndarray:
-        self.min_prob = min(self.min_prob, float(p.min()))
-        cond, raised = condition_probs(p, self.eps_cond)
-        self.heralded |= raised
-        eta = self.n_flat / cond
-        return hermitize(vec_inv(-(self.design.conj().T @ eta), d2, d2))
+        eta = self.n_flat / self._condition(p)
+        return hermitize(vec_inv(-(self.setup.design.conj().T @ eta), d2, d2))
+
+
+def neg_log_likelihood(
+    choi: np.ndarray,
+    setup: TomographySetup,
+    counts: CountsTable,
+    eps_cond: float = EPS_COND,
+) -> float:
+    """Multinomial cost f(C) = -sum_ij n_ij ln p_ij with conditioned p."""
+    return _Cost(setup, counts, eps_cond)(choi)
+
+
+def gradient(
+    choi: np.ndarray,
+    setup: TomographySetup,
+    counts: CountsTable,
+    eps_cond: float = EPS_COND,
+) -> np.ndarray:
+    """Frobenius gradient of the cost, the Hermitian matrix -A^dagger eta.
+
+    eta_ij = n_ij / p_ij with the same conditioning floor as the cost.
+    """
+    cost = _Cost(setup, counts, eps_cond)
+    return cost.gradient_from_probs(cost.probs(choi), setup.d**2)
 
 
 def _finish(report: SolverReport, start: float, cost: _Cost) -> None:
@@ -310,7 +340,6 @@ def solve_lifp(
     setup: TomographySetup,
     counts: CountsTable,
     dykstra_tol: float = DYKSTRA_TOL,
-    eps_cond: float = EPS_COND,
 ) -> tuple[np.ndarray, SolverReport]:
     """Linear inversion followed by a single CPTP projection.
 
@@ -324,7 +353,7 @@ def solve_lifp(
     estimate, dykstra_iters, _ = _dykstra(
         raw, dykstra_tol, MAX_INNER_ITERATIONS, eps_tp=EPS_TP
     )
-    cost = _Cost(setup, counts, eps_cond)
+    cost = _Cost(setup, counts, EPS_COND)
     report = SolverReport(method="lifp")
     report.cost_trace = [cost(estimate)]
     report.iterations = dykstra_iters

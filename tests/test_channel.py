@@ -192,6 +192,11 @@ class TestCountsTable:
         with pytest.raises(DomainError):
             CountsTable(np.array([[1.1, -0.1]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            CountsTable(np.array([[bad, 1.0]]))
+
 
 class TestLikelihood:
     def test_uniform_two_outcomes_gives_ln2(self):

@@ -1,12 +1,19 @@
 """Command-line interface: file formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qptomo
+
 from qptomo import io as qio
 from qptomo import (
+    DomainError,
     forward_probs,
     identity_choi,
     j_distance,
@@ -52,6 +59,39 @@ class TestChoiFileFormat:
         with pytest.raises(DomainError):
             qio.load_choi("not json at all {")
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("d"),
+        lambda doc: doc.update(d="two"),
+        lambda doc: doc.pop("re"),
+        lambda doc: doc["re"][0].__setitem__(0, float("nan")),
+        lambda doc: doc["im"][1].__setitem__(2, float("inf")),
+        lambda doc: doc["re"].pop(),
+        lambda doc: doc.update(metadata=[1]),
+    ], ids=["no_d", "string_d", "no_re", "nan", "inf", "ragged", "list_metadata"])
+    def test_rejects_malformed_document(self, edit):
+        doc = json.loads(qio.dump_choi(np.eye(4), 2))
+        edit(doc)
+        with pytest.raises(DomainError):
+            qio.load_choi(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", '"choi-v1"'])
+    def test_rejects_non_object(self, text):
+        with pytest.raises(DomainError):
+            qio.load_choi(text)
+
+
+class TestSetupFileFormat:
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("povm"),
+        lambda doc: doc.update(preparations=[1, 2]),
+        lambda doc: doc["povm"][0]["re"][0].__setitem__(0, float("nan")),
+    ], ids=["no_povm", "non_object_operator", "nan"])
+    def test_rejects_malformed_document(self, edit, setup2):
+        doc = json.loads(qio.dump_setup(setup2))
+        edit(doc)
+        with pytest.raises(DomainError):
+            qio.load_setup(json.dumps(doc))
+
 
 class TestCountsFileFormat:
     def test_round_trip(self, setup2):
@@ -66,6 +106,26 @@ class TestCountsFileFormat:
         text = "# counts-v1\n# d=2 n_prep=1 n_povm=2 N=10 seed=0\ni,j,n\n0,0,0.4\n0,1,0.4\n"
         from qptomo import DomainError
 
+        with pytest.raises(DomainError):
+            qio.load_counts(text)
+
+    @pytest.mark.parametrize("header, rows", [
+        ("d=2 n_prep=1 n_povm=2 seed=0", ["0,0,0.5", "0,1,0.5"]),
+        ("d=2 n_prep=1 n_povm=2 N=ten seed=0", ["0,0,0.5", "0,1,0.5"]),
+        ("d=2 n_prep=0 n_povm=2 N=10 seed=0", []),
+        ("d=2 n_prep=1 n_povm=2 N=10 seed=0", ["0,0,0.5", "0,-1,0.5"]),
+        ("d=2 n_prep=1 n_povm=2 N=10 seed=0", ["0,0,0.5", "0,2,0.5"]),
+        ("d=2 n_prep=1 n_povm=2 N=10 seed=0", ["0,0,0.5", "0,0,0.5", "0,1,0.5"]),
+        ("d=2 n_prep=1 n_povm=2 N=10 seed=0", ["0,0,1.0"]),
+        ("d=2 n_prep=1 n_povm=2 N=10 seed=0", ["0,0,1.0", ""]),
+        ("d=2 n_prep=100000 n_povm=100000 N=10 seed=0", ["0,0,1.0"]),
+        ("d=2 n_prep=1 n_povm=2 N=10 seed=0", ["0,0,nan", "0,1,0.5"]),
+        ("d=2 n_prep=1 n_povm=2 N=10 seed=0", ["0,0,inf", "0,1,-inf"]),
+    ], ids=["no_N", "bad_N", "no_preparations", "negative_index", "index_past_end",
+            "duplicate_row", "missing_row", "missing_row_blank_line", "huge_header",
+            "nan", "inf"])
+    def test_rejects_malformed_file(self, header, rows):
+        text = "\n".join(["# counts-v1", f"# {header}", "i,j,n", *rows]) + "\n"
         with pytest.raises(DomainError):
             qio.load_counts(text)
 
@@ -206,6 +266,18 @@ class TestReconstruct:
         mat, _, meta = qio.load_choi(est.read_text())
         assert meta["status"] == "iteration_cap"
 
+    def test_nan_counts_exit_1(self, tmp_path, counts_inf, capsys):
+        _, counts = counts_inf
+        bad = tmp_path / "nan_counts.txt"
+        bad.write_text("".join(
+            "0,0,nan\n" if line.startswith("0,0,") else line
+            for line in counts.read_text().splitlines(keepends=True)
+        ))
+        assert run("reconstruct", "--counts", bad, "--method", "lifp",
+                   "--out", tmp_path / "est.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_unknown_method_is_usage_error(self, tmp_path, counts_inf):
         _, counts = counts_inf
         with pytest.raises(SystemExit) as excinfo:
@@ -248,6 +320,16 @@ class TestProject:
         assert run("project", "--in", infile, "--set", "cp",
                    "--out", tmp_path / "out.json") == 1
 
+    def test_nan_input_exits_1(self, tmp_path, capsys):
+        doc = json.loads(qio.dump_choi(identity_choi(2), 2))
+        doc["re"][0][0] = float("nan")
+        infile = tmp_path / "in.json"
+        infile.write_text(json.dumps(doc))
+        assert run("project", "--in", infile, "--set", "cptp",
+                   "--out", tmp_path / "out.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_us_p_requires_p_success(self, tmp_path):
         infile = tmp_path / "in.json"
         write_choi(infile, C_BOX, 2)
@@ -285,13 +367,12 @@ class TestBenchmark:
         assert run("benchmark", "--d-list", "2", "--N-list", "10",
                    "--methods", "sorcery", "--out", tmp_path / "x.csv") == 1
 
-    def test_thread_override_does_not_change_output(self, tmp_path, monkeypatch):
-        serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-        assert run("benchmark", "--d-list", "2", "--N-list", "100",
-                   "--methods", "pgdb,lifp", "--trials", 4, "--seed", 9,
-                   "--out", serial) == 0
-        monkeypatch.setenv("QPTOMO_BENCH_THREADS", "3")
-        assert run("benchmark", "--d-list", "2", "--N-list", "100",
-                   "--methods", "pgdb,lifp", "--trials", 4, "--seed", 9,
-                   "--out", threaded) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency: every qptomo command would pay its
+    # import time.
+    env = dict(os.environ, PYTHONPATH=str(Path(qptomo.__file__).parent.parent))
+    code = "import sys, qptomo.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

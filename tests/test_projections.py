@@ -12,20 +12,17 @@ from qptomo import (
     hermitize,
     identity_choi,
     kron,
-    m_operator,
     partial_trace_out,
     project_cp,
-    project_cptp_averaged,
     project_cptp_dykstra,
     project_tni,
     project_tp,
-    project_tp_m_form,
     project_us_p,
     random_cptp,
     vec,
 )
-from qptomo.projections import DykstraState
 from conftest import cptp_pool, random_hermitian
+from reference import m_operator, project_cptp_averaged, project_tp_m_form
 
 RNG = np.random.default_rng(31)
 
@@ -222,13 +219,6 @@ class TestMOperator:
 
 
 class TestDykstra:
-    def test_state_initialization(self):
-        c = random_hermitian(RNG, 4)
-        state = DykstraState.start(c)
-        assert np.array_equal(state.x, vec(c))
-        assert not state.p.any() and not state.q.any() and not state.y.any()
-        assert state.iteration == 0
-
     def test_fixed_points(self):
         for c in (identity_choi(2), np.eye(4) / 2):
             out = project_cptp_dykstra(c)
