@@ -83,12 +83,15 @@ def is_cptp(choi: np.ndarray, eps_cp: float = EPS_CP, eps_tp: float = EPS_TP) ->
 
 
 class TomographySetup:
-    """Ordered preparation states and POVM elements, with the design matrix.
+    """Ordered preparation states and POVM elements.
 
     Validates that every preparation is positive semidefinite with unit
-    trace and that the POVM elements resolve to the identity. The design
-    matrix maps vec(Choi) to the flat vector of outcome probabilities,
-    row order (i, j) with the preparation index i major.
+    trace and that the POVM elements resolve to the identity. The forward
+    model and the gradient use the stacked operators ``prep_rows`` and
+    ``povm_rows``; the dense design matrix, which maps vec(Choi) to the flat
+    vector of outcome probabilities (row order (i, j) with the preparation
+    index i major), is built on first use only, for linear inversion and
+    conditioning.
     """
 
     def __init__(self, preparations, povm):
@@ -121,6 +124,16 @@ class TomographySetup:
         return len(self.povm)
 
     @cached_property
+    def prep_rows(self) -> np.ndarray:
+        """R[i, (a, b)] = rho_i[a, b]: one row-major preparation per row."""
+        return np.stack(self.preparations).reshape(self.n_prep, -1)
+
+    @cached_property
+    def povm_rows(self) -> np.ndarray:
+        """F[j, (x, y)] = E_j[y, x]: one row-major transposed element per row."""
+        return np.stack([e.T for e in self.povm]).reshape(self.n_povm, -1)
+
+    @cached_property
     def design(self) -> np.ndarray:
         return build_design(self)
 
@@ -144,13 +157,18 @@ def build_design(setup: TomographySetup) -> np.ndarray:
 
 
 def forward_probs(choi: np.ndarray, setup: TomographySetup) -> np.ndarray:
-    """Outcome probabilities p_ij = Tr([rho_i^T (x) E_j] C), flat, i major."""
+    """Outcome probabilities p_ij = Tr([rho_i^T (x) E_j] C), flat, i major.
+
+    p_ij = sum rho_i[a, b] E_j[y, x] C[(a, x), (b, y)], computed as
+    R C~ F^T with C~[(a, b), (x, y)] = C[(a, x), (b, y)]: O(d^6) time and no
+    design matrix.
+    """
     choi = np.asarray(choi)
-    if choi.shape != (setup.d**2, setup.d**2):
-        raise DimensionError(
-            f"Choi shape {choi.shape} does not match setup d={setup.d}"
-        )
-    return (setup.design @ vec(choi)).real
+    d = setup.d
+    if choi.shape != (d * d, d * d):
+        raise DimensionError(f"Choi shape {choi.shape} does not match setup d={d}")
+    c_tilde = choi.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return (setup.prep_rows @ c_tilde @ setup.povm_rows.T).real.reshape(-1)
 
 
 def condition_probs(p: np.ndarray, eps_cond: float = EPS_COND) -> tuple[np.ndarray, bool]:

@@ -32,7 +32,6 @@ from .ensembles import (
 )
 from .errors import ConvergenceError, QptError, StalledStepError
 from .projections import (
-    DYKSTRA_TOL,
     project_cp,
     project_cptp_dykstra,
     project_tni,
@@ -102,8 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--mu", type=float, default=None)
     rec.add_argument("--gamma", type=float, default=0.3)
     rec.add_argument("--ftol", type=float, default=1e-10)
-    rec.add_argument("--dykstra-tol", type=float, default=None,
-                     help="inner CPTP projection tolerance (method default)")
     rec.add_argument("--max-iters", type=int, default=None)
 
     proj = sub.add_parser("project", help="project a matrix onto a constraint set")
@@ -181,8 +178,6 @@ def _cmd_reconstruct(args) -> int:
     try:
         if args.method == "pgdb":
             cfg = PgdbConfig(mu=args.mu, gamma=args.gamma, f_tol=args.ftol)
-            if args.dykstra_tol is not None:
-                cfg.dykstra_tol = args.dykstra_tol
             if args.max_iters is not None:
                 cfg.max_outer_iterations = args.max_iters
             est, report = solve_pgdb(setup, counts, cfg)
@@ -192,8 +187,7 @@ def _cmd_reconstruct(args) -> int:
                 cfg.max_outer_iterations = args.max_iters
             est, report = solve_dia(setup, counts, cfg)
         else:
-            tol = DYKSTRA_TOL if args.dykstra_tol is None else args.dykstra_tol
-            est, report = solve_lifp(setup, counts, tol)
+            est, report = solve_lifp(setup, counts)
     except (ConvergenceError, StalledStepError) as err:
         if err.report is None or getattr(err, "last_iterate", None) is None:
             raise

@@ -15,7 +15,6 @@ import numpy as np
 
 from .channel import (
     EPS_COND,
-    EPS_TP,
     CountsTable,
     TomographySetup,
     _check_counts,
@@ -32,7 +31,7 @@ from .linalg import (
     psd_sqrt_inv,
     vec_inv,
 )
-from .projections import DYKSTRA_TOL, MAX_INNER_ITERATIONS, _dykstra
+from .projections import _project_cptp_dual
 
 
 @dataclass
@@ -49,10 +48,6 @@ class PgdbConfig:
     gamma: float = 0.3
     f_tol: float = 1e-10
     eps_cond: float = EPS_COND
-    # Tighter than the standalone projection default: the accuracy of the
-    # descent direction is limited by the inner projection error, and 1e-4
-    # floors the estimate around J ~ 1e-3 near the optimum.
-    dykstra_tol: float = 1e-8
     max_outer_iterations: int = 5000
     min_alpha: float = 1e-12
 
@@ -81,7 +76,11 @@ class DiaConfig:
 
 @dataclass
 class SolverReport:
-    """Per-run diagnostics: cost trace, step sizes, conditioning herald."""
+    """Per-run diagnostics: cost trace, step sizes, conditioning herald.
+
+    ``projection_steps`` holds the Newton steps of each CPTP projection:
+    one entry per outer iteration for pgdB, one entry for LIFP.
+    """
 
     method: str
     iterations: int = 0
@@ -91,6 +90,7 @@ class SolverReport:
     conditioning_heralded: bool = False
     min_prob_seen: float = np.inf
     step_trace: list[float] = field(default_factory=list)
+    projection_steps: list[int] = field(default_factory=list)
     status: str = "running"
     pre_projection_min_eigenvalue: float | None = None
     pre_projection_tp_distance: float | None = None
@@ -128,9 +128,18 @@ class _Cost:
     def __call__(self, choi: np.ndarray) -> float:
         return self.from_probs(self.probs(choi))
 
-    def gradient_from_probs(self, p: np.ndarray, d2: int) -> np.ndarray:
-        eta = self.n_flat / self._condition(p)
-        return hermitize(vec_inv(-(self.setup.design.conj().T @ eta), d2, d2))
+    def gradient_from_probs(self, p: np.ndarray) -> np.ndarray:
+        """-sum_ij eta_ij rho_i^T (x) E_j, from two matmuls with the stacks.
+
+        The (a b, x y) entry of R^T eta F is sum_ij eta_ij rho_i[a, b] E_j[y, x],
+        the ((b, y), (a, x)) entry of the gradient.
+        """
+        setup = self.setup
+        d = setup.d
+        eta = (self.n_flat / self._condition(p)).reshape(setup.n_prep, setup.n_povm)
+        g = setup.prep_rows.T @ (eta @ setup.povm_rows)
+        g = g.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+        return hermitize(-g)
 
 
 def neg_log_likelihood(
@@ -154,7 +163,7 @@ def gradient(
     eta_ij = n_ij / p_ij with the same conditioning floor as the cost.
     """
     cost = _Cost(setup, counts, eps_cond)
-    return cost.gradient_from_probs(cost.probs(choi), setup.d**2)
+    return cost.gradient_from_probs(cost.probs(choi))
 
 
 def _finish(report: SolverReport, start: float, cost: _Cost) -> None:
@@ -173,7 +182,8 @@ def solve_pgdb(
     """Maximum-likelihood estimate by projected gradient descent.
 
     Each outer iteration projects the step ``C - (1/mu) grad f`` onto CPTP
-    once (Dykstra), then backtracks along the resulting direction D with
+    once (dual Newton, warm-started from the previous iteration's
+    multiplier), then backtracks along the resulting direction D with
     the Armijo rule ``f(C + a D) <= f(C) + gamma a <D, grad f>``. Since
     CPTP is convex, every backtracked point stays feasible.
 
@@ -193,12 +203,11 @@ def solve_pgdb(
     f_c = cost.from_probs(p_c)
     report.cost_trace.append(f_c)
 
+    y = None
     for _ in range(cfg.max_outer_iterations):
-        grad = cost.gradient_from_probs(p_c, d * d)
+        grad = cost.gradient_from_probs(p_c)
         try:
-            proj, _, _ = _dykstra(
-                c - grad / mu, cfg.dykstra_tol, MAX_INNER_ITERATIONS, eps_tp=EPS_TP
-            )
+            proj, y, steps = _project_cptp_dual(c - grad / mu, y)
         except ConvergenceError as err:
             report.status = "iteration_cap"
             _finish(report, start, cost)
@@ -208,6 +217,7 @@ def solve_pgdb(
                 residual=err.residual,
                 report=report,
             ) from err
+        report.projection_steps.append(steps)
         direction = proj - c
         slope = frobenius_inner(direction, grad)
         if slope >= 0.0:
@@ -280,7 +290,7 @@ def solve_dia(
     report.cost_trace.append(f_c)
 
     for _ in range(cfg.max_outer_iterations):
-        g = -cost.gradient_from_probs(p_c, d * d)
+        g = -cost.gradient_from_probs(p_c)
         epsilon = 1.0
         while True:
             r = epsilon * g + (1.0 - epsilon) * eye
@@ -337,11 +347,9 @@ def solve_linear_inversion(
 
 
 def solve_lifp(
-    setup: TomographySetup,
-    counts: CountsTable,
-    dykstra_tol: float = DYKSTRA_TOL,
+    setup: TomographySetup, counts: CountsTable
 ) -> tuple[np.ndarray, SolverReport]:
-    """Linear inversion followed by a single CPTP projection.
+    """Linear inversion followed by a single CPTP projection (dual Newton).
 
     The report records how unphysical the raw inversion was (minimum
     eigenvalue and distance to the TP set) before the projection repaired
@@ -350,13 +358,12 @@ def solve_lifp(
     start = time.perf_counter()
     raw = solve_linear_inversion(setup, counts)
     min_eig, tp_dist = cptp_residuals(raw, setup.d)
-    estimate, dykstra_iters, _ = _dykstra(
-        raw, dykstra_tol, MAX_INNER_ITERATIONS, eps_tp=EPS_TP
-    )
+    estimate, _, steps = _project_cptp_dual(raw)
     cost = _Cost(setup, counts, EPS_COND)
     report = SolverReport(method="lifp")
     report.cost_trace = [cost(estimate)]
-    report.iterations = dykstra_iters
+    report.iterations = steps
+    report.projection_steps = [steps]
     report.final_cost = report.cost_trace[0]
     report.status = "converged"
     report.conditioning_heralded = cost.heralded

@@ -45,7 +45,7 @@ C_BOX = np.diag([0.1, 0.1, 0.1, 1.7]).astype(complex)
 
 # Metaparameters used for the noiseless recovery runs: the criteria pin the
 # output quality, and the defaults leave d=3 marginally outside the targets.
-PGDB_TIGHT = dict(f_tol=1e-12, dykstra_tol=1e-10)
+PGDB_TIGHT = dict(f_tol=1e-12)
 DIA_TIGHT = dict(f_tol=1e-11)
 
 

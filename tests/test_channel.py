@@ -11,6 +11,7 @@ from qptomo import (
     SimulationSpec,
     TomographySetup,
     apply_channel,
+    build_design,
     choi_from_kraus,
     condition_probs,
     forward_probs,
@@ -25,6 +26,7 @@ from qptomo import (
     random_quasi_pure,
     simulate_counts,
     vec,
+    vec_inv,
 )
 from conftest import random_hermitian
 
@@ -151,6 +153,27 @@ class TestForwardProbs:
     def test_dimension_error(self, setup3):
         with pytest.raises(DimensionError):
             forward_probs(np.eye(4), setup3)
+
+
+class TestMatrixFree:
+    """forward_probs and the gradient never build the design: it is their oracle."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_forward_probs_match_design(self, d):
+        setup = minimal_setup(d)
+        c = random_hermitian(RNG, d * d)
+        expected = (build_design(setup) @ vec(c)).real
+        assert np.abs(forward_probs(c, setup) - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_gradient_matches_design(self, d):
+        setup = minimal_setup(d)
+        truth = mixed_cptp(d, seed=30 + d)
+        counts = simulate_counts(truth, setup, SimulationSpec(1000, rng_seed=d))
+        p, _ = condition_probs(forward_probs(truth, setup))
+        eta = counts.flat / p
+        expected = vec_inv(-(build_design(setup).conj().T @ eta), d * d, d * d)
+        assert np.abs(gradient(truth, setup, counts) - expected).max() < 1e-12
 
 
 class TestConditionProbs:

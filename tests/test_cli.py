@@ -234,6 +234,16 @@ class TestReconstruct:
         assert report["iterations"] > 0
         assert report["final_cost"] == report["cost_trace"][-1]
 
+    def test_report_lists_projection_steps(self, tmp_path, counts_inf):
+        _, counts = counts_inf
+        est = tmp_path / "est.json"
+        assert run("reconstruct", "--counts", counts, "--method", "pgdb",
+                   "--out", est) == 0
+        report = json.loads((tmp_path / "est.json.report.json").read_text())
+        steps = report["projection_steps"]
+        assert report["iterations"] <= len(steps) <= report["iterations"] + 1
+        assert all(isinstance(s, int) and s >= 0 for s in steps)
+
     @pytest.mark.parametrize("method", ["pgdb", "dia", "lifp"])
     def test_estimates_are_cptp(self, tmp_path, counts_inf, method):
         from qptomo import is_cptp

@@ -8,6 +8,7 @@ from qptomo import (
     ConvergenceError,
     DomainError,
     EnsembleSpec,
+    choi_from_kraus,
     frobenius_inner,
     hermitize,
     identity_choi,
@@ -21,6 +22,8 @@ from qptomo import (
     random_cptp,
     vec,
 )
+from qptomo import projections
+from qptomo.projections import _project_cptp_dual
 from conftest import cptp_pool, random_hermitian
 from reference import m_operator, project_cptp_averaged, project_tp_m_form
 
@@ -250,6 +253,57 @@ class TestDykstra:
     def test_invalid_tol(self):
         with pytest.raises(DomainError):
             project_cptp_dykstra(C_BOX, tol=0.0)
+
+
+def random_unitary(rng, d):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestDualNewton:
+    """The solvers' CPTP projection, checked against Dykstra."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_closest_cptp_point(self, d):
+        rng = np.random.default_rng(700 + d)
+        pool = np.stack([vec(b) for b in cptp_pool(d, 200, seed=7000 + 100 * d)])
+        for _ in range(4):
+            c = random_hermitian(rng, d * d, scale=float(d))
+            out, _, _ = _project_cptp_dual(c)
+            assert np.abs(out - project_cptp_dykstra(c, tol=1e-12)).max() < 1e-6
+            assert np.linalg.eigvalsh(out).min() >= -1e-12
+            assert np.linalg.norm(partial_trace_out(out, d) - np.eye(d)) <= 1e-12
+            vi = ((pool - vec(out)) @ vec(c - out).conj()).real
+            assert vi.max() <= 1e-6
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_independent_of_warm_start(self, d):
+        rng = np.random.default_rng(710 + d)
+        c = random_hermitian(rng, d * d, scale=float(d))
+        out, y, _ = _project_cptp_dual(c)
+        for y0 in (np.zeros((d, d)), y, random_hermitian(rng, d)):
+            again, _, _ = _project_cptp_dual(c, y0)
+            assert np.abs(again - out).max() < 1e-10
+        assert _project_cptp_dual(c, y)[2] == 0
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_unitary_channel_is_a_fixed_point(self, d):
+        # Rank one: C + Y (x) I has a (nearly) degenerate non-positive
+        # eigenspace of dimension d^2 - 1 along the way.
+        rng = np.random.default_rng(720 + d)
+        c = choi_from_kraus([random_unitary(rng, d)])
+        out, _, steps = _project_cptp_dual(c)
+        assert steps == 0 and np.abs(out - c).max() < 1e-12
+        out, _, steps = _project_cptp_dual(c, random_hermitian(rng, d))
+        assert steps > 0 and np.abs(out - c).max() < 1e-10
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(projections, "MAX_NEWTON_STEPS", 1)
+        with pytest.raises(ConvergenceError) as excinfo:
+            _project_cptp_dual(C_BOX)
+        assert excinfo.value.last_iterate is not None
+        assert excinfo.value.residual > projections.NEWTON_TOL
 
 
 class TestAveragedProjection:

@@ -31,6 +31,7 @@ from qptomo import (
     solve_pgdb,
     vec,
 )
+from qptomo import projections, solvers
 from qptomo.solvers import DiaConfig, PgdbConfig
 
 
@@ -79,7 +80,7 @@ class TestPgdb:
 
     def test_stationarity_at_termination(self, setup2, infinite_data):
         _, counts = infinite_data
-        cfg = PgdbConfig(f_tol=1e-12, dykstra_tol=1e-10)
+        cfg = PgdbConfig(f_tol=1e-12)
         est, report = solve_pgdb(setup2, counts, cfg)
         assert report.status == "converged"
         mu = 3.0 / (2.0 * 4.0)
@@ -94,6 +95,13 @@ class TestPgdb:
             with pytest.raises(ConvergenceError) as excinfo:
                 solve_pgdb(setup2, counts, cfg)
             assert is_cptp(excinfo.value.last_iterate)
+
+    def test_projection_failure_carries_report(self, setup2, noisy_data, monkeypatch):
+        monkeypatch.setattr(projections, "MAX_NEWTON_STEPS", 0)
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_pgdb(setup2, noisy_data[1])
+        assert excinfo.value.report.status == "iteration_cap"
+        assert is_cptp(excinfo.value.last_iterate)
 
     def test_iteration_cap_error_carries_report(self, setup2, noisy_data):
         _, counts = noisy_data
@@ -278,3 +286,37 @@ class TestReports:
         cost(truth)
         assert cost.heralded
         assert cost.min_prob < 1e-16
+
+    def test_projection_steps_one_per_projection(self, setup2, noisy_data, monkeypatch):
+        _, counts = noisy_data
+        project = solvers._project_cptp_dual
+        calls = []
+
+        def recording(c, y0=None):
+            result = project(c, y0)
+            calls.append((c, result[2]))
+            return result
+
+        monkeypatch.setattr(solvers, "_project_cptp_dual", recording)
+        _, report = solve_pgdb(setup2, counts)
+        assert report.projection_steps == [steps for _, steps in calls]
+        assert report.iterations <= len(calls) <= report.iterations + 1
+        # Warm-started from the previous multiplier: few steps, and fewer
+        # in total than the same projections started cold.
+        warm = report.projection_steps[1:]
+        cold = [project(c)[2] for c, _ in calls[1:]]
+        assert max(warm) <= 10
+        assert sum(warm) < sum(cold)
+
+    def test_lifp_reports_its_one_projection(self, setup2, noisy_data):
+        _, counts = noisy_data
+        _, report = solve_lifp(setup2, counts)
+        assert report.projection_steps == [report.iterations]
+
+    def test_solvers_do_not_build_the_design(self):
+        setup = minimal_setup(2)
+        truth = quasi_pure(2, seed=19)
+        counts = simulate_counts(truth, setup, SimulationSpec(1000, rng_seed=19))
+        solve_pgdb(setup, counts)
+        solve_dia(setup, counts)
+        assert "design" not in setup.__dict__
