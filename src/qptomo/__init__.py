@@ -27,6 +27,7 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     DomainError,
+    LapackError,
     QptError,
     SingularMatrixError,
     StalledStepError,

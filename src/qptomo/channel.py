@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, LapackError
 from .linalg import hermitize, kron, partial_trace_in, partial_trace_out, vec
 
 #: CPTP acceptance tolerances: smallest admissible eigenvalue and largest
@@ -72,7 +72,10 @@ def tp_distance(choi: np.ndarray, d: int | None = None) -> float:
 def cptp_residuals(choi: np.ndarray, d: int | None = None) -> tuple[float, float]:
     """(min eigenvalue, Frobenius distance of Tr_out to identity)."""
     choi = np.asarray(choi)
-    min_eig = float(np.linalg.eigvalsh(hermitize(choi)).min())
+    try:
+        min_eig = float(np.linalg.eigvalsh(hermitize(choi)).min())
+    except np.linalg.LinAlgError as err:
+        raise LapackError(f"eigenvalue computation failed: {err}") from err
     return min_eig, tp_distance(choi, d)
 
 

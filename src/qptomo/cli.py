@@ -170,7 +170,10 @@ def _cmd_reconstruct(args) -> int:
     def write(est, report, exit_code):
         meta = {"method": args.method, "status": report.status}
         args.out.write_text(io.dump_choi(est, setup.d, meta))
-        report_path.write_text(json.dumps(dataclasses.asdict(report), indent=1) + "\n")
+        report_path.write_text(
+            json.dumps(dataclasses.asdict(report), indent=1, default=np.ndarray.tolist)
+            + "\n"
+        )
         print(f"{args.method}: {report.status}, {report.iterations} iterations, "
               f"final cost {report.final_cost:.12g}")
         return exit_code
@@ -221,11 +224,24 @@ def _benchmark_trial(d: int, n_samples, trial: int, base_seed: int,
     n_key = 0 if n_samples is None else int(n_samples)
     seq = np.random.SeedSequence([base_seed, d, n_key, trial])
     map_seed, counts_seed = (int(s) for s in seq.generate_state(2, dtype=np.uint64))
-    truth = random_quasi_pure(
-        EnsembleSpec(d=d, kraus_rank=1, kind="quasi_pure", rng_seed=map_seed)
-    )
+
+    def failed(method, err):
+        status = {
+            ConvergenceError: "iteration_cap",
+            StalledStepError: "stalled",
+        }.get(type(err), "error")
+        return io.benchmark_row(
+            d, n_samples, method, trial, map_seed,
+            None, None, None, None, None, status)
+
     setup = minimal_setup(d)
-    counts = simulate_counts(truth, setup, SimulationSpec(n_samples, counts_seed))
+    try:
+        truth = random_quasi_pure(
+            EnsembleSpec(d=d, kraus_rank=1, kind="quasi_pure", rng_seed=map_seed)
+        )
+        counts = simulate_counts(truth, setup, SimulationSpec(n_samples, counts_seed))
+    except QptError as err:
+        return [failed(method, err) for method in methods]
     rows = []
     for method in methods:
         try:
@@ -241,13 +257,7 @@ def _benchmark_trial(d: int, n_samples, trial: int, base_seed: int,
                 report.wall_time_s if timings else None,
                 report.conditioning_heralded, "ok"))
         except QptError as err:
-            status = {
-                ConvergenceError: "iteration_cap",
-                StalledStepError: "stalled",
-            }.get(type(err), "error")
-            rows.append(io.benchmark_row(
-                d, n_samples, method, trial, map_seed,
-                None, None, None, None, None, status))
+            rows.append(failed(method, err))
     return rows
 
 

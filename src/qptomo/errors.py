@@ -17,6 +17,14 @@ class SingularMatrixError(QptError):
     """A matrix required to be positive definite is (numerically) singular."""
 
 
+class LapackError(QptError):
+    """A LAPACK routine (eigendecomposition, SVD, least squares) did not converge.
+
+    Unlike :class:`ConvergenceError` it carries no iterate: the numbers
+    the routine was given are not a usable result.
+    """
+
+
 class ConvergenceError(QptError):
     """An iteration cap was hit before the stopping rule fired.
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError, LapackError, SingularMatrixError
 
 # Kronecker product, block (i, j) = A_ij * B.
 kron = np.kron
@@ -73,12 +73,19 @@ def eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise DimensionError(f"eigh expects a square matrix, got shape {x.shape}")
-    return np.linalg.eigh(hermitize(x))
+    try:
+        return np.linalg.eigh(hermitize(x))
+    except np.linalg.LinAlgError as err:
+        raise LapackError(f"eigendecomposition failed: {err}") from err
 
 
 def trace_norm(x: np.ndarray) -> float:
     """Sum of singular values (equals sum |eigenvalues| for Hermitian input)."""
-    return float(np.linalg.svd(np.asarray(x), compute_uv=False).sum())
+    try:
+        s = np.linalg.svd(np.asarray(x), compute_uv=False)
+    except np.linalg.LinAlgError as err:
+        raise LapackError(f"singular value decomposition failed: {err}") from err
+    return float(s.sum())
 
 
 def psd_sqrt_inv(x: np.ndarray, tol_pd: float = 1e-12) -> np.ndarray:
@@ -93,6 +100,19 @@ def psd_sqrt_inv(x: np.ndarray, tol_pd: float = 1e-12) -> np.ndarray:
             f"matrix not positive definite: min eigenvalue {w.min():.3e} <= {tol_pd:g}"
         )
     return hermitize((v * w**-0.5) @ v.conj().T)
+
+
+def block_congruence(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Hermitian part of (M (x) I) X (M (x) I) for Hermitian d x d M, d^2 x d^2 X.
+
+    M (x) I acts on the input factor, so left-multiplying X by it is one
+    d x d^3 matmul on the (d, d^3) view of X; the right factor is the left
+    one applied to the adjoint. No Kronecker product is formed.
+    """
+    d = m.shape[0]
+    n = d * d
+    y = (m @ x.reshape(d, -1)).reshape(n, n)
+    return hermitize((m @ y.conj().T.reshape(d, -1)).reshape(n, n))
 
 
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import EPS_TP, tp_distance
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, SingularMatrixError
 from .linalg import eigh, hermitize, partial_trace_out
 
 #: Algorithm default for the Dykstra stopping sum.
@@ -186,7 +186,11 @@ def _newton_direction(
     right = v3.conj().transpose(1, 0, 2).reshape(d, d * n)  # [b, (c, j)]
     k = (left @ right).reshape(d, n, d, n).transpose(0, 2, 1, 3).reshape(n, n * n)
     jac = (k * omega.reshape(-1)) @ k.conj().T + min(1e-2, res_norm) * np.eye(n)
-    return hermitize(np.linalg.solve(jac, -residual.reshape(-1)).reshape(d, d))
+    try:
+        step = np.linalg.solve(jac, -residual.reshape(-1))
+    except np.linalg.LinAlgError as err:
+        raise SingularMatrixError(f"Newton system is singular: {err}") from err
+    return hermitize(step.reshape(d, d))
 
 
 def _project_cptp_dual(

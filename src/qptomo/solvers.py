@@ -22,11 +22,11 @@ from .channel import (
     cptp_residuals,
     forward_probs,
 )
-from .errors import ConvergenceError, DomainError, StalledStepError
+from .errors import ConvergenceError, DomainError, LapackError, StalledStepError
 from .linalg import (
+    block_congruence,
     frobenius_inner,
     hermitize,
-    kron,
     partial_trace_out,
     psd_sqrt_inv,
     vec_inv,
@@ -78,18 +78,21 @@ class DiaConfig:
 class SolverReport:
     """Per-run diagnostics: cost trace, step sizes, conditioning herald.
 
-    ``projection_steps`` holds the Newton steps of each CPTP projection:
-    one entry per outer iteration for pgdB, one entry for LIFP.
+    ``cost_trace`` and ``step_trace`` grow as lists while a solve runs and
+    are float64 arrays once it returns or raises, so a report kept for
+    thousands of DIA iterations holds 8 bytes per entry, not a Python
+    float. ``projection_steps`` holds the Newton steps of each CPTP
+    projection: one entry per outer iteration for pgdB, one entry for LIFP.
     """
 
     method: str
     iterations: int = 0
-    cost_trace: list[float] = field(default_factory=list)
+    cost_trace: list[float] | np.ndarray = field(default_factory=list)
     final_cost: float = np.nan
     wall_time_s: float = 0.0
     conditioning_heralded: bool = False
     min_prob_seen: float = np.inf
-    step_trace: list[float] = field(default_factory=list)
+    step_trace: list[float] | np.ndarray = field(default_factory=list)
     projection_steps: list[int] = field(default_factory=list)
     status: str = "running"
     pre_projection_min_eigenvalue: float | None = None
@@ -107,6 +110,8 @@ class _Cost:
 
     def __init__(self, setup: TomographySetup, counts: CountsTable, eps_cond: float):
         _check_counts(setup, counts)
+        if eps_cond <= 0:
+            raise DomainError(f"eps_cond must be positive, got {eps_cond}")
         self.setup = setup
         self.n_flat = counts.flat
         self.eps_cond = eps_cond
@@ -117,7 +122,10 @@ class _Cost:
         return forward_probs(choi, self.setup)
 
     def _condition(self, p: np.ndarray) -> np.ndarray:
-        self.min_prob = min(self.min_prob, float(p.min()))
+        p_min = float(p.min())
+        self.min_prob = min(self.min_prob, p_min)
+        if p_min >= self.eps_cond:
+            return p
         cond, raised = condition_probs(p, self.eps_cond)
         self.heralded |= raised
         return cond
@@ -170,7 +178,9 @@ def _finish(report: SolverReport, start: float, cost: _Cost) -> None:
     report.wall_time_s = time.perf_counter() - start
     report.conditioning_heralded = cost.heralded
     report.min_prob_seen = cost.min_prob
-    report.final_cost = report.cost_trace[-1]
+    report.cost_trace = np.asarray(report.cost_trace, dtype=float)
+    report.step_trace = np.asarray(report.step_trace, dtype=float)
+    report.final_cost = float(report.cost_trace[-1])
     report.iterations = len(report.cost_trace) - 1
 
 
@@ -274,17 +284,17 @@ def solve_dia(
         W = Tr_out(R C R)
         C' = (W^{-1/2} (x) I) R C R (W^{-1/2} (x) I)
 
-    The normalization by W keeps every iterate trace preserving. eps is
-    reset to 1 each outer iteration and halved until the cost decreases.
+    The normalization by W keeps every iterate trace preserving; W^{-1/2}
+    (x) I is applied blockwise, without forming the Kronecker product. eps
+    is reset to 1 each outer iteration and halved until the cost decreases.
     """
     cfg = config or DiaConfig()
     d = setup.d
-    eye = np.eye(d * d, dtype=complex)
     cost = _Cost(setup, counts, cfg.eps_cond)
     report = SolverReport(method="dia")
     start = time.perf_counter()
 
-    c = eye / d
+    c = np.eye(d * d, dtype=complex) / d
     p_c = cost.probs(c)
     f_c = cost.from_probs(p_c)
     report.cost_trace.append(f_c)
@@ -293,10 +303,7 @@ def solve_dia(
         g = -cost.gradient_from_probs(p_c)
         epsilon = 1.0
         while True:
-            r = epsilon * g + (1.0 - epsilon) * eye
-            rcr = r @ c @ r
-            s = kron(psd_sqrt_inv(partial_trace_out(rcr, d)), np.eye(d))
-            c_new = hermitize(s @ rcr @ s)
+            c_new = _dia_update(c, g, epsilon)
             p_new = cost.probs(c_new)
             f_new = cost.from_probs(p_new)
             if f_new <= f_c:
@@ -331,6 +338,13 @@ def solve_dia(
     return c, report
 
 
+def _dia_update(c: np.ndarray, g: np.ndarray, epsilon: float) -> np.ndarray:
+    """One diluted step: R C R normalized by (W^{-1/2} (x) I), W = Tr_out(R C R)."""
+    r = epsilon * g + (1.0 - epsilon) * np.eye(len(g))
+    rcr = r @ c @ r
+    return block_congruence(psd_sqrt_inv(partial_trace_out(rcr)), rcr)
+
+
 def solve_linear_inversion(
     setup: TomographySetup, counts: CountsTable
 ) -> np.ndarray:
@@ -342,7 +356,10 @@ def solve_linear_inversion(
     """
     _check_counts(setup, counts)
     d2 = setup.d**2
-    x, *_ = np.linalg.lstsq(setup.design, counts.flat.astype(complex), rcond=None)
+    try:
+        x, *_ = np.linalg.lstsq(setup.design, counts.flat.astype(complex), rcond=None)
+    except np.linalg.LinAlgError as err:
+        raise LapackError(f"least-squares solve failed: {err}") from err
     return hermitize(vec_inv(x, d2, d2))
 
 
@@ -360,15 +377,11 @@ def solve_lifp(
     min_eig, tp_dist = cptp_residuals(raw, setup.d)
     estimate, _, steps = _project_cptp_dual(raw)
     cost = _Cost(setup, counts, EPS_COND)
-    report = SolverReport(method="lifp")
-    report.cost_trace = [cost(estimate)]
-    report.iterations = steps
-    report.projection_steps = [steps]
-    report.final_cost = report.cost_trace[0]
-    report.status = "converged"
-    report.conditioning_heralded = cost.heralded
-    report.min_prob_seen = cost.min_prob
+    report = SolverReport(method="lifp", status="converged")
+    report.cost_trace.append(cost(estimate))
+    report.projection_steps.append(steps)
     report.pre_projection_min_eigenvalue = min_eig
     report.pre_projection_tp_distance = tp_dist
-    report.wall_time_s = time.perf_counter() - start
+    _finish(report, start, cost)
+    report.iterations = steps
     return estimate, report

@@ -5,6 +5,9 @@
   the closed form the package uses.
 * ``project_cptp_averaged``: averaged projections, which reach the CPTP set
   but not its closest point, checked against Dykstra.
+* ``dia_update_kron`` and ``dia_trials_kron``: the DIA step with
+  W^{-1/2} (x) I formed by ``kron`` and the dilution loop around it,
+  checked against the blockwise congruence the solver uses.
 """
 
 import numpy as np
@@ -14,14 +17,17 @@ from qptomo import (
     ConvergenceError,
     DomainError,
     hermitize,
+    kron,
     partial_trace_out,
     project_cp,
     project_tp,
+    psd_sqrt_inv,
     vec,
     vec_inv,
 )
-from qptomo.channel import EPS_CP, EPS_TP
+from qptomo.channel import EPS_COND, EPS_CP, EPS_TP
 from qptomo.projections import MAX_INNER_ITERATIONS
+from qptomo.solvers import _Cost
 
 
 def m_operator(d: int) -> scipy.sparse.csr_matrix:
@@ -90,3 +96,39 @@ def project_cptp_averaged(
         last_iterate=hermitize(h),
         residual=delta,
     )
+
+
+def dia_update_kron(c: np.ndarray, g: np.ndarray, epsilon: float) -> np.ndarray:
+    """One diluted step, normalized by the explicit Kronecker product."""
+    d = round(c.shape[0] ** 0.5)
+    eye = np.eye(d * d, dtype=complex)
+    r = epsilon * g + (1.0 - epsilon) * eye
+    rcr = r @ c @ r
+    s = kron(psd_sqrt_inv(partial_trace_out(rcr, d)), np.eye(d))
+    return hermitize(s @ rcr @ s)
+
+
+def dia_trials_kron(setup, counts, iterations: int) -> list:
+    """(epsilon, trial iterate) of every dilution tried in ``iterations`` DIA steps.
+
+    The loop of ``solve_dia`` from the maximally mixed start, without its
+    stopping rule, built on :func:`dia_update_kron`.
+    """
+    cost = _Cost(setup, counts, EPS_COND)
+    c = np.eye(setup.d**2, dtype=complex) / setup.d
+    p_c = cost.probs(c)
+    f_c = cost.from_probs(p_c)
+    trials = []
+    for _ in range(iterations):
+        g = -cost.gradient_from_probs(p_c)
+        epsilon = 1.0
+        while True:
+            c_new = dia_update_kron(c, g, epsilon)
+            trials.append((epsilon, c_new))
+            p_new = cost.probs(c_new)
+            f_new = cost.from_probs(p_new)
+            if f_new <= f_c:
+                break
+            epsilon *= 0.5
+        c, p_c, f_c = c_new, p_new, f_new
+    return trials

@@ -34,6 +34,10 @@ def write_choi(path, mat, d, meta=None):
     path.write_text(qio.dump_choi(mat, d, meta or {}))
 
 
+def failing_eigh(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 class TestChoiFileFormat:
     def test_round_trip_is_canonical(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -245,6 +249,29 @@ class TestReconstruct:
         assert all(isinstance(s, int) and s >= 0 for s in steps)
 
     @pytest.mark.parametrize("method", ["pgdb", "dia", "lifp"])
+    def test_report_traces_are_json_lists(self, tmp_path, counts_inf, method):
+        _, counts = counts_inf
+        est = tmp_path / "est.json"
+        assert run("reconstruct", "--counts", counts, "--method", method,
+                   "--out", est) == 0
+        report = json.loads((tmp_path / "est.json.report.json").read_text())
+        for key in ("cost_trace", "step_trace", "projection_steps"):
+            assert isinstance(report[key], list)
+        assert report["final_cost"] == report["cost_trace"][-1]
+
+    @pytest.mark.parametrize("method", ["pgdb", "dia", "lifp"])
+    def test_lapack_failure_exits_1(self, tmp_path, counts_inf, capsys, monkeypatch,
+                                    method):
+        _, counts = counts_inf
+        est = tmp_path / "est.json"
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        assert run("reconstruct", "--counts", counts, "--method", method,
+                   "--out", est) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not est.exists()
+
+    @pytest.mark.parametrize("method", ["pgdb", "dia", "lifp"])
     def test_estimates_are_cptp(self, tmp_path, counts_inf, method):
         from qptomo import is_cptp
 
@@ -372,6 +399,15 @@ class TestBenchmark:
             assert len(js) == 5
             medians.append(np.median(js))
         assert medians[0] > medians[1] > medians[2]
+
+    def test_lapack_failure_writes_failed_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        out = tmp_path / "sweep.csv"
+        assert run("benchmark", "--d-list", "2", "--N-list", "inf",
+                   "--methods", "pgdb,dia,lifp", "--out", out) == 1
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert [r[2] for r in rows] == ["pgdb", "dia", "lifp"]
+        assert all(r[10] == "error" for r in rows)
 
     def test_unknown_method_is_data_error(self, tmp_path):
         assert run("benchmark", "--d-list", "2", "--N-list", "10",

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from qptomo import (
+    CountsTable,
     DimensionError,
+    LapackError,
     SingularMatrixError,
+    cptp_residuals,
     eigh,
     frobenius_inner,
     hermitize,
@@ -17,6 +20,9 @@ from qptomo import (
     vec,
     vec_inv,
 )
+from qptomo.linalg import block_congruence
+from qptomo.projections import _project_cptp_dual
+from qptomo.solvers import solve_linear_inversion
 from conftest import random_hermitian
 
 RNG = np.random.default_rng(11)
@@ -178,6 +184,46 @@ class TestPsdSqrtInv:
             psd_sqrt_inv(np.diag([1.0, 0.0]))
         with pytest.raises(SingularMatrixError):
             psd_sqrt_inv(np.diag([1.0, 5e-13]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_block_congruence_matches_kron(d):
+    m = random_hermitian(RNG, d)
+    x = random_hermitian(RNG, d * d)
+    s = kron(m, np.eye(d))
+    assert np.abs(block_congruence(m, x) - s @ x @ s).max() < 1e-13
+
+
+class TestLapackFailures:
+    """A LinAlgError from LAPACK leaves the package as a QptError."""
+
+    @pytest.mark.parametrize(
+        "routine, message, call, error",
+        [
+            ("eigh", "Eigenvalues did not converge",
+             lambda s: eigh(np.eye(4)), LapackError),
+            ("eigvalsh", "Eigenvalues did not converge",
+             lambda s: cptp_residuals(np.eye(4) / 2), LapackError),
+            ("svd", "SVD did not converge",
+             lambda s: trace_norm(np.eye(4)), LapackError),
+            ("lstsq", "SVD did not converge in Linear Least Squares",
+             lambda s: solve_linear_inversion(s, uniform_counts(s)), LapackError),
+            ("solve", "Singular matrix",
+             lambda s: _project_cptp_dual(2 * np.eye(4)), SingularMatrixError),
+        ],
+    )
+    def test_converted_at_the_call(self, monkeypatch, setup2, routine, message,
+                                   call, error):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError(message)
+
+        monkeypatch.setattr(np.linalg, routine, failing)
+        with pytest.raises(error, match=message):
+            call(setup2)
+
+
+def uniform_counts(setup):
+    return CountsTable(np.full((setup.n_prep, setup.n_povm), 1.0 / setup.n_povm))
 
 
 def test_hermitize_projects_onto_hermitian_part():

@@ -33,6 +33,7 @@ from qptomo import (
 )
 from qptomo import projections, solvers
 from qptomo.solvers import DiaConfig, PgdbConfig
+from reference import dia_trials_kron, dia_update_kron
 
 
 def quasi_pure(d, seed):
@@ -171,6 +172,38 @@ class TestDia:
         assert len(report.step_trace) == report.iterations
         assert all(0 < e <= 1 for e in report.step_trace)
 
+    @pytest.mark.parametrize("epsilon", [1.0, 0.5, 2.0**-10])
+    def test_update_matches_kron_form(self, setup3, epsilon):
+        # On every input tried, DIA accepts eps = 1 at each step, so eps < 1
+        # is checked on the update itself.
+        truth = quasi_pure(3, seed=21)
+        counts = simulate_counts(truth, setup3, SimulationSpec(1000, rng_seed=21))
+        start = random_cptp(EnsembleSpec(d=3, kraus_rank=2, rng_seed=21))
+        for c in (np.eye(9, dtype=complex) / 3, start):
+            g = -gradient(c, setup3, counts)
+            expected = dia_update_kron(c, g, epsilon)
+            assert np.abs(solvers._dia_update(c, g, epsilon) - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_first_iterates_match_kron_loop(self, d, monkeypatch):
+        setup = minimal_setup(d)
+        counts = simulate_counts(quasi_pure(d, seed=22), setup, SimulationSpec(None))
+        update = solvers._dia_update
+        trials = []
+
+        def recording(c, g, epsilon):
+            c_new = update(c, g, epsilon)
+            trials.append((epsilon, c_new))
+            return c_new
+
+        monkeypatch.setattr(solvers, "_dia_update", recording)
+        with pytest.raises(ConvergenceError):
+            solve_dia(setup, counts, DiaConfig(max_outer_iterations=200))
+        expected = dia_trials_kron(setup, counts, 200)
+        assert [e for e, _ in trials] == [e for e, _ in expected]
+        gaps = [np.abs(a - b).max() for (_, a), (_, b) in zip(trials, expected)]
+        assert max(gaps) < 1e-12
+
 
 class TestLinearInversion:
     def test_exact_infinite_data(self, setup2, infinite_data):
@@ -268,6 +301,35 @@ class TestReports:
         assert report.wall_time_s > 0
         assert isinstance(report.conditioning_heralded, bool)
         assert np.isfinite(report.min_prob_seen)
+
+    @pytest.mark.parametrize("solve", [solve_pgdb, solve_dia])
+    def test_traces_are_arrays(self, setup2, noisy_data, solve):
+        _, report = solve(setup2, noisy_data[1])
+        assert report.cost_trace.dtype == np.float64
+        assert report.step_trace.dtype == np.float64
+        assert len(report.cost_trace) == report.iterations + 1
+        assert report.final_cost == report.cost_trace[-1]
+
+    def test_lifp_trace_is_an_array(self, setup2, noisy_data):
+        _, report = solve_lifp(setup2, noisy_data[1])
+        assert report.cost_trace.dtype == np.float64
+        assert report.final_cost == report.cost_trace[-1]
+
+    @pytest.mark.parametrize("solve, config", [
+        (solve_pgdb, PgdbConfig(max_outer_iterations=3)),
+        (solve_dia, DiaConfig(max_outer_iterations=3)),
+    ])
+    def test_capped_report_carries_arrays(self, setup2, noisy_data, solve, config):
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve(setup2, noisy_data[1], config)
+        report = excinfo.value.report
+        assert report.cost_trace.dtype == np.float64
+        assert report.step_trace.dtype == np.float64
+        assert len(report.cost_trace) == report.iterations + 1 == 4
+
+    def test_eps_cond_must_be_positive(self, setup2, noisy_data):
+        with pytest.raises(DomainError):
+            solve_dia(setup2, noisy_data[1], DiaConfig(eps_cond=0.0))
 
     def test_no_herald_on_benign_data(self, setup2):
         truth = random_cptp(EnsembleSpec(d=2, kraus_rank=4, rng_seed=18))
