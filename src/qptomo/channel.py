@@ -90,11 +90,8 @@ class TomographySetup:
 
     Validates that every preparation is positive semidefinite with unit
     trace and that the POVM elements resolve to the identity. The forward
-    model and the gradient use the stacked operators ``prep_rows`` and
-    ``povm_rows``; the dense design matrix, which maps vec(Choi) to the flat
-    vector of outcome probabilities (row order (i, j) with the preparation
-    index i major), is built on first use only, for linear inversion and
-    conditioning.
+    model, the gradient, linear inversion and the design's condition number
+    all use the stacked operators ``prep_rows`` and ``povm_rows``.
     """
 
     def __init__(self, preparations, povm):
@@ -110,7 +107,11 @@ class TomographySetup:
         for i, rho in enumerate(self.preparations):
             if np.abs(rho - rho.conj().T).max() > 1e-10:
                 raise DomainError(f"preparation {i} is not Hermitian")
-            if np.linalg.eigvalsh(hermitize(rho)).min() < -1e-10:
+            try:
+                min_eig = np.linalg.eigvalsh(hermitize(rho)).min()
+            except np.linalg.LinAlgError as err:
+                raise LapackError(f"eigenvalue computation failed: {err}") from err
+            if min_eig < -1e-10:
                 raise DomainError(f"preparation {i} is not positive semidefinite")
             if abs(np.trace(rho) - 1.0) > 1e-10:
                 raise DomainError(f"preparation {i} does not have unit trace")
@@ -136,17 +137,16 @@ class TomographySetup:
         """F[j, (x, y)] = E_j[y, x]: one row-major transposed element per row."""
         return np.stack([e.T for e in self.povm]).reshape(self.n_povm, -1)
 
-    @cached_property
-    def design(self) -> np.ndarray:
-        return build_design(self)
-
 
 def build_design(setup: TomographySetup) -> np.ndarray:
     """Stack the rows vec(rho_i (x) E_j^T)^T into the design matrix A.
 
     The row order is i major, j minor. With column-stacking vec this gives
     ``A @ vec(C) == Tr([rho_i^T (x) E_j] C)`` entrywise, i.e. the Born-rule
-    probabilities of the forward model.
+    probabilities of the forward model. No solver builds it: the forward
+    model, the gradient and linear inversion work on ``prep_rows`` and
+    ``povm_rows``, and this dense (n_prep n_povm) x d^4 matrix is their
+    reference.
     """
     rows = np.empty(
         (setup.n_prep * setup.n_povm, setup.d**4), dtype=complex

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import TomographySetup, CountsTable, forward_probs, is_cptp
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, LapackError
 from .linalg import hermitize, kron, partial_trace_out, psd_sqrt_inv, trace_norm
 
 
@@ -206,7 +206,17 @@ def j_distance(choi_a: np.ndarray, choi_b: np.ndarray) -> float:
 
 
 def design_condition_number(setup: TomographySetup) -> float:
-    """Ratio of the largest to smallest nonzero singular value of the design."""
-    s = np.linalg.svd(setup.design, compute_uv=False)
-    cutoff = max(setup.design.shape) * np.finfo(float).eps * s[0]
-    return float(s[0] / s[s > cutoff][-1])
+    """Ratio of the largest to smallest nonzero singular value of the design.
+
+    The design is R (x) F up to a column permutation, so its singular values
+    are the pairwise products of those of ``prep_rows`` and ``povm_rows``.
+    """
+    try:
+        s_r = np.linalg.svd(setup.prep_rows, compute_uv=False)
+        s_f = np.linalg.svd(setup.povm_rows, compute_uv=False)
+    except np.linalg.LinAlgError as err:
+        raise LapackError(f"singular value decomposition failed: {err}") from err
+    s = np.outer(s_r, s_f)
+    s_max = s_r[0] * s_f[0]
+    cutoff = max(setup.n_prep * setup.n_povm, setup.d**4) * np.finfo(float).eps * s_max
+    return float(s_max / s[s > cutoff].min())

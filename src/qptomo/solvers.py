@@ -29,7 +29,6 @@ from .linalg import (
     hermitize,
     partial_trace_out,
     psd_sqrt_inv,
-    vec_inv,
 )
 from .projections import _project_cptp_dual
 
@@ -350,17 +349,22 @@ def solve_linear_inversion(
 ) -> np.ndarray:
     """Unconstrained least-squares inversion of the forward model.
 
-    Solves A vec(C) = n in the minimum-norm least-squares sense with a
-    stable factorization (no explicit pseudo-inverse) and Hermitizes the
-    result. The estimate is generally unphysical for noisy data.
+    Solves A vec(C) = n in the minimum-norm least-squares sense and
+    Hermitizes the result. The design A is R (x) F up to a fixed reshuffle
+    of vec(C), and pinv(R (x) F) = pinv(R) (x) pinv(F), so the solution is
+    C~ = pinv(R) N pinv(F)^T from two small least-squares solves (stable
+    factorizations, no explicit pseudo-inverse and no design matrix). The
+    estimate is generally unphysical for noisy data.
     """
     _check_counts(setup, counts)
-    d2 = setup.d**2
+    d = setup.d
     try:
-        x, *_ = np.linalg.lstsq(setup.design, counts.flat.astype(complex), rcond=None)
+        y, *_ = np.linalg.lstsq(setup.prep_rows, counts.n.astype(complex), rcond=None)
+        x, *_ = np.linalg.lstsq(setup.povm_rows, y.T, rcond=None)
     except np.linalg.LinAlgError as err:
         raise LapackError(f"least-squares solve failed: {err}") from err
-    return hermitize(vec_inv(x, d2, d2))
+    # x^T is C~[(a, b), (x, y)] = C[(a, x), (b, y)]; swapping b and x undoes it.
+    return hermitize(x.T.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d))
 
 
 def solve_lifp(

@@ -8,6 +8,8 @@
 * ``dia_update_kron`` and ``dia_trials_kron``: the DIA step with
   W^{-1/2} (x) I formed by ``kron`` and the dilution loop around it,
   checked against the blockwise congruence the solver uses.
+* ``linear_inversion_dense``: minimum-norm least squares on the dense
+  design, checked against the Kronecker-factored inversion.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ import scipy.sparse
 from qptomo import (
     ConvergenceError,
     DomainError,
+    build_design,
     hermitize,
     kron,
     partial_trace_out,
@@ -132,3 +135,10 @@ def dia_trials_kron(setup, counts, iterations: int) -> list:
             epsilon *= 0.5
         c, p_c, f_c = c_new, p_new, f_new
     return trials
+
+
+def linear_inversion_dense(setup, counts) -> np.ndarray:
+    """Hermitized minimum-norm solution of A vec(C) = n on the dense design A."""
+    d2 = setup.d**2
+    x, *_ = np.linalg.lstsq(build_design(setup), counts.flat.astype(complex), rcond=None)
+    return hermitize(vec_inv(x, d2, d2))

@@ -12,6 +12,7 @@ from qptomo import (
     EnsembleSpec,
     SimulationSpec,
     choi_from_kraus,
+    build_design,
     condition_probs,
     design_condition_number,
     forward_probs,
@@ -285,7 +286,7 @@ def test_criterion_09_setup_validity():
         ok &= setup.n_prep == d * d and setup.n_povm == 2 * d * d
         ok &= np.abs(sum(setup.povm) - np.eye(d)).max() <= 1e-12
         ok &= all(np.linalg.eigvalsh(e).min() >= -1e-12 for e in setup.povm)
-        ok &= np.linalg.matrix_rank(setup.design) == d**4
+        ok &= np.linalg.matrix_rank(build_design(setup)) == d**4
         conds.append(design_condition_number(setup))
     ok &= bool(np.all(np.diff(conds) >= 0))
     _report(

@@ -97,16 +97,16 @@ class TestApplyChannel:
 
 class TestSetupAndDesign:
     def test_minimal_design_shape(self, setup2):
-        assert setup2.design.shape == (32, 16)
+        assert build_design(setup2).shape == (32, 16)
 
     def test_row_order_is_i_major(self, setup2):
-        a = setup2.design
+        a = build_design(setup2)
         for i, j in [(0, 0), (1, 5), (3, 7)]:
             row = vec(kron(setup2.preparations[i], setup2.povm[j].T))
             assert np.abs(a[i * setup2.n_povm + j] - row).max() < 1e-15
 
     def test_depolarizing_probs(self, setup2):
-        p = setup2.design @ vec(np.eye(4) / 2)
+        p = build_design(setup2) @ vec(np.eye(4) / 2)
         expected = np.array(
             [np.trace(e).real / 2 for _ in range(4) for e in setup2.povm]
         )
@@ -124,7 +124,7 @@ class TestSetupAndDesign:
 
     def test_real_for_hermitian_inputs(self, setup2):
         c = random_hermitian(RNG, 4)
-        p = setup2.design @ vec(c)
+        p = build_design(setup2) @ vec(c)
         assert np.abs(p.imag).max() < 1e-10
 
     def test_setup_validation(self):

@@ -10,6 +10,7 @@ from qptomo import (
     EnsembleSpec,
     SimulationSpec,
     choi_from_kraus,
+    build_design,
     design_condition_number,
     forward_probs,
     is_cptp,
@@ -110,7 +111,7 @@ class TestMinimalSetup:
     def test_full_rank_design(self):
         for d in (2, 3):
             setup = minimal_setup(d)
-            assert np.linalg.matrix_rank(setup.design) == d**4
+            assert np.linalg.matrix_rank(build_design(setup)) == d**4
 
     def test_dimension_one_rejected(self):
         with pytest.raises(DomainError):

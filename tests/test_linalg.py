@@ -8,7 +8,9 @@ from qptomo import (
     DimensionError,
     LapackError,
     SingularMatrixError,
+    TomographySetup,
     cptp_residuals,
+    design_condition_number,
     eigh,
     frobenius_inner,
     hermitize,
@@ -194,6 +196,10 @@ def test_block_congruence_matches_kron(d):
     assert np.abs(block_congruence(m, x) - s @ x @ s).max() < 1e-13
 
 
+def rebuild_setup(setup):
+    return TomographySetup(setup.preparations, setup.povm)
+
+
 class TestLapackFailures:
     """A LinAlgError from LAPACK leaves the package as a QptError."""
 
@@ -206,6 +212,8 @@ class TestLapackFailures:
              lambda s: cptp_residuals(np.eye(4) / 2), LapackError),
             ("svd", "SVD did not converge",
              lambda s: trace_norm(np.eye(4)), LapackError),
+            ("svd", "SVD did not converge", design_condition_number, LapackError),
+            ("eigvalsh", "Eigenvalues did not converge", rebuild_setup, LapackError),
             ("lstsq", "SVD did not converge in Linear Least Squares",
              lambda s: solve_linear_inversion(s, uniform_counts(s)), LapackError),
             ("solve", "Singular matrix",

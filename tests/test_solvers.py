@@ -1,5 +1,7 @@
 """The three estimators and their reports."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from qptomo import (
     StalledStepError,
     TomographySetup,
     apply_channel,
+    build_design,
     choi_from_kraus,
+    design_condition_number,
     forward_probs,
     gradient,
     is_cptp,
@@ -33,13 +37,37 @@ from qptomo import (
 )
 from qptomo import projections, solvers
 from qptomo.solvers import DiaConfig, PgdbConfig
-from reference import dia_trials_kron, dia_update_kron
+from reference import dia_trials_kron, dia_update_kron, linear_inversion_dense
 
 
 def quasi_pure(d, seed):
     return random_quasi_pure(
         EnsembleSpec(d=d, kraus_rank=1, kind="quasi_pure", rng_seed=seed)
     )
+
+
+def overcomplete_setup():
+    """The d=3 minimal setup plus 3 random states and a random 4-element POVM."""
+    d = 3
+    rng = np.random.default_rng(60)
+    base = minimal_setup(d)
+    states, gram = [], []
+    for _ in range(3):
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        states.append(x @ x.conj().T / np.trace(x @ x.conj().T).real)
+    for _ in range(4):
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        gram.append(x @ x.conj().T)
+    norm = psd_sqrt_inv(sum(gram))
+    povm = [e / 2 for e in base.povm] + [norm @ g @ norm / 2 for g in gram]
+    return TomographySetup(base.preparations + states, povm)
+
+
+def two_preparation_setup():
+    """|0> and |1> only: the design has a null space."""
+    preps = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    povm = [rho / 2 for rho in preps] + [(np.eye(2) - rho) / 2 for rho in preps]
+    return TomographySetup(preps, povm)
 
 
 @pytest.fixture(scope="module")
@@ -239,9 +267,22 @@ class TestLinearInversion:
         truth = random_cptp(EnsembleSpec(d=2, kraus_rank=4, rng_seed=14))
         counts = CountsTable(forward_probs(truth, setup).reshape(2, 4))
         est = solve_linear_inversion(setup, counts)
-        resid = np.linalg.norm(setup.design @ vec(est) - counts.flat)
+        resid = np.linalg.norm(build_design(setup) @ vec(est) - counts.flat)
         assert resid < 1e-10
         assert np.linalg.norm(vec(est)) <= np.linalg.norm(vec(truth)) + 1e-10
+
+    @pytest.mark.parametrize(
+        "setup",
+        [*(minimal_setup(d) for d in (2, 3, 4, 5)), overcomplete_setup(),
+         two_preparation_setup()],
+        ids=["minimal2", "minimal3", "minimal4", "minimal5", "overcomplete",
+             "two_preparations"],
+    )
+    def test_matches_dense_lstsq(self, setup):
+        truth = quasi_pure(setup.d, seed=50)
+        counts = simulate_counts(truth, setup, SimulationSpec(1000, rng_seed=50))
+        expected = linear_inversion_dense(setup, counts)
+        assert np.abs(solve_linear_inversion(setup, counts) - expected).max() < 1e-12
 
     def test_noisy_estimates_are_unphysical(self, setup2):
         truth = random_cptp(EnsembleSpec(d=2, kraus_rank=4, rng_seed=15))
@@ -289,6 +330,17 @@ class TestLifp:
             j_pgdb.append(j_distance(est_p, truth))
             j_lifp.append(j_distance(est_l, truth))
         assert np.median(j_lifp) >= np.median(j_pgdb) - 1e-6
+
+    def test_three_qubits(self):
+        # d=8: the dense design would take 512 MiB; the factored inversion
+        # needs only the 64 x 64 and 128 x 64 stacks.
+        setup = minimal_setup(8)
+        truth = quasi_pure(8, seed=62)
+        counts = simulate_counts(truth, setup, SimulationSpec(10**5, rng_seed=62))
+        est, report = solve_lifp(setup, counts)
+        assert is_cptp(est)
+        assert j_distance(est, truth) < 0.2
+        assert report.status == "converged"
 
 
 class TestReports:
@@ -375,10 +427,18 @@ class TestReports:
         _, report = solve_lifp(setup2, counts)
         assert report.projection_steps == [report.iterations]
 
-    def test_solvers_do_not_build_the_design(self):
+    def test_solvers_do_not_build_the_design(self, monkeypatch):
+        def failing(setup):
+            raise AssertionError("the dense design was built")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qptomo" and hasattr(module, "build_design"):
+                monkeypatch.setattr(module, "build_design", failing)
         setup = minimal_setup(2)
         truth = quasi_pure(2, seed=19)
         counts = simulate_counts(truth, setup, SimulationSpec(1000, rng_seed=19))
         solve_pgdb(setup, counts)
         solve_dia(setup, counts)
-        assert "design" not in setup.__dict__
+        solve_lifp(setup, counts)
+        solve_linear_inversion(setup, counts)
+        design_condition_number(setup)
