@@ -21,19 +21,24 @@ Two algorithms compute the closest CPTP point:
   X = P_+(C + Y (x) I) for the multiplier Y that solves the d^2-variable
   equation Tr_out P_+(C + Y (x) I) = I, so X is positive semidefinite by
   construction and TP to ``NEWTON_TOL``. Passing the previous multiplier
-  as a warm start makes a hot loop of nearby projections cheap.
+  as a warm start makes a hot loop of nearby projections cheap. The
+  Newton Jacobian uses only the eigenvector pairs with a positive
+  eigenvalue.
 * ``project_cptp_dykstra``, the standalone projection (``qptomo project
   --set cptp``): Dykstra's alternating TP and CP projections with
   correction terms, which converge to the closest point of the
   intersection (plain alternating or averaged projections only reach
-  feasibility).
+  feasibility). Its TP correction is kept as a d x d matrix.
+
+The textbook Dykstra loop and the dense Newton Jacobian are test
+references, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import EPS_TP, tp_distance
+from .channel import EPS_TP
 from .errors import ConvergenceError, DomainError, SingularMatrixError
 from .linalg import eigh, hermitize, partial_trace_out
 
@@ -51,21 +56,22 @@ MIN_NEWTON_STEP = 1e-10
 
 
 def _add_out_identity(c: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
-    """C + (1/d) Y (x) I, adding Y/d to the output diagonal of a copy of C.
+    """C + (1/d) Y (x) I, adding Y/d to the output diagonal of C.
 
-    Works on the (d, d, d, d) view (in, out, in', out') of the copy, so no
-    d^2 x d^2 Kronecker product is built.
+    (Y/d) (x) I is Y/d broadcast against the identity on the (in, out, in',
+    out') axes, one multiply and one add with no call to ``kron``.
     """
-    out = np.array(c, dtype=np.result_type(c, y), order="C")
-    k = np.arange(d)
-    out.reshape(d, d, d, d)[:, k, :, k] += y / d
-    return out
+    return c + ((y / d)[:, None, :, None] * np.eye(d)[:, None, :]).reshape(d * d, d * d)
+
+
+def _positive_part(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """P_+(V diag(w) V^dagger): keep the positive eigenvalues."""
+    return hermitize((v * np.maximum(w, 0.0)) @ v.conj().T)
 
 
 def project_cp(c: np.ndarray) -> np.ndarray:
     """Closest positive semidefinite matrix: clip negative eigenvalues."""
-    w, v = eigh(c)
-    return hermitize((v * np.clip(w, 0.0, None)) @ v.conj().T)
+    return _positive_part(*eigh(c))
 
 
 def project_tp(c: np.ndarray, d: int | None = None) -> np.ndarray:
@@ -106,37 +112,51 @@ def _dykstra(
 ) -> tuple[np.ndarray, int, float]:
     """Core Dykstra loop; returns (matrix, iterations, stopping sum).
 
-    ``x`` is the CP iterate, ``y`` the TP iterate, ``p`` and ``q`` the
-    corrections carried into the TP and CP steps.
+    ``x`` is the CP iterate, ``y`` the TP iterate and ``q`` the correction
+    carried into the CP step. The correction carried into the TP step is
+    always z (x) I, which the TP step removes again (P_TP(x + z (x) I) =
+    P_TP(x)), so only the d x d ``z`` is kept: the TP step shifts ``x`` by
+    (gap / d) (x) I with gap = I - Tr_out x, the gap of the previous TP
+    test, and ``z`` falls by gap / d. The stopping sum's TP terms reduce to
+    d x d ones, ||p' - p||^2 = ||gap||^2 / d and <p, x' - x> =
+    <z, gap - gap'>, and the sum is formed only once the TP residual
+    ||gap'|| of the new CP iterate is within ``eps_tp``, since it cannot
+    stop the loop before. At the iteration cap the :class:`ConvergenceError`
+    carries that TP residual.
     """
     d = round(c.shape[0] ** 0.5)
+    eye = np.eye(d)
     x = hermitize(np.asarray(c, dtype=complex))
-    p = np.zeros_like(x)
+    gap = eye - partial_trace_out(x, d)
+    z = np.zeros((d, d), dtype=complex)
     q = np.zeros_like(x)
     y_prev = None
-    stop_sum = np.inf
+    tp_res = stop_sum = np.inf
     for k in range(max_iterations):
-        y = project_tp(x + p, d)
-        p_new = x + p - y
-        x_new = project_cp(y + q)
-        q_new = y + q - x_new
-        if k >= 1:
+        y = _add_out_identity(x, gap, d)
+        y_q = y + q
+        x_new = project_cp(y_q)
+        q_new = y_q - x_new
+        gap_new = eye - partial_trace_out(x_new, d)
+        tp_res = float(np.vdot(gap_new, gap_new).real) ** 0.5
+        if k >= 1 and tp_res <= eps_tp:
             # Robust stopping sum over successive corrections and iterates.
             stop_sum = (
-                float(np.linalg.norm(p_new - p) ** 2)
+                float(np.linalg.norm(gap) ** 2) / d
                 + float(np.linalg.norm(q_new - q) ** 2)
-                + 2.0 * abs(np.vdot(p, x_new - x))
+                + 2.0 * abs(np.vdot(z, gap - gap_new))
                 + 2.0 * abs(np.vdot(q, y - y_prev))
             )
-            if stop_sum <= tol and tp_distance(x_new, d) <= eps_tp:
+            if stop_sum <= tol:
                 return x_new, k + 1, stop_sum
         y_prev = y
-        x, p, q = x_new, p_new, q_new
+        z = z - gap / d
+        x, gap, q = x_new, gap_new, q_new
     raise ConvergenceError(
         f"Dykstra projection did not converge in {max_iterations} iterations "
-        f"(stopping sum {stop_sum:.3e})",
+        f"(TP residual {tp_res:.3e}, last stopping sum {stop_sum:.3e})",
         last_iterate=x,
-        residual=stop_sum,
+        residual=tp_res,
     )
 
 
@@ -161,31 +181,49 @@ def project_cptp_dykstra(
     return mat
 
 
+def _newton_jacobian(w: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
+    """Generalized Jacobian of Y -> Tr_out P_+(C + Y (x) I) at V diag(w) V^dagger.
+
+    ``w`` is in ascending order, as :func:`eigh` returns it. The Jacobian
+    maps H to Tr_out V (Omega o V^dagger (H (x) I) V) V^dagger, where Omega
+    is the first divided difference of max(w, 0): 1 between two positive
+    eigenvalues, 0 between two non-positive ones (degenerate pairs
+    included) and w+ / (w+ - w-) across the sign change. As a d^2 x d^2
+    matrix on row-major H it is K diag(Omega) K^dagger with
+    K[(a, c), (i, j)] = sum_b V[a, b, i] conj(V[c, b, j]).
+
+    Omega vanishes unless i or j is positive, and the pair (j, i) is the
+    mirror of (i, j): K[(a, c), (j, i)] = conj K[(c, a), (i, j)]. So only
+    the r n columns of K with i among the r positive eigenvalues are built
+    (Qi & Sun 2006, the index-set split). Summed with weight Omega across
+    the sign change and 1/2 between positives, they give G, and
+    J = G + swap(conj G), where swap(M)[(a, c), (a', c')] = M[(c, a), (c', a')]
+    adds the mirror pairs.
+    """
+    n = d * d
+    m = int(np.searchsorted(w, 0.0, side="right"))  # first positive index
+    r = n - m
+    # Omega[i, :] for positive i: w_i / (w_i - min(w_j, 0)).
+    weight = w[m:, None] / (w[m:, None] - np.minimum(w, 0.0))
+    weight[:, m:] = 0.5
+    v3 = v.reshape(d, d, n)
+    left = v3[:, :, m:].transpose(0, 2, 1).reshape(d * r, d)  # [(a, i), b]
+    right = v3.conj().transpose(1, 0, 2).reshape(d, d * n)  # [b, (c, j)]
+    k = (left @ right).reshape(d, r, d, n).transpose(0, 2, 1, 3).reshape(n, r * n)
+    g = (k * weight.reshape(-1)) @ k.conj().T
+    return g + g.conj().reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(n, n)
+
+
 def _newton_direction(
     w: np.ndarray, v: np.ndarray, residual: np.ndarray, res_norm: float, d: int
 ) -> np.ndarray:
     """Regularized semismooth Newton step for Tr_out P_+(C + Y (x) I) = I.
 
-    With C + Y (x) I = V diag(w) V^dagger, the generalized Jacobian maps H
-    to Tr_out V (Omega o V^dagger (H (x) I) V) V^dagger, where Omega is the
-    first divided difference of max(w, 0): 1 between two positive
-    eigenvalues, 0 between two non-positive ones (degenerate pairs
-    included) and w+ / (w+ - w-) across the sign change. As a d^2 x d^2
-    matrix on row-major H it is K diag(Omega) K^dagger with
-    K[(a, c), (i, j)] = sum_b V[a, b, i] conj(V[c, b, j]), regularized by
-    min(1e-2, residual) I.
+    Solves (J + min(1e-2, residual) I) vec(dY) = -vec(residual) with the
+    index-split Jacobian J of :func:`_newton_jacobian`.
     """
-    n = d * d
-    pos = w > 0
-    omega = (pos[:, None] & pos[None, :]).astype(float)
-    i, j = np.nonzero(pos[:, None] != pos[None, :])
-    wp = np.clip(w, 0.0, None)
-    omega[i, j] = (wp[i] - wp[j]) / (w[i] - w[j])
-    v3 = v.reshape(d, d, n)
-    left = v3.transpose(0, 2, 1).reshape(d * n, d)  # [(a, i), b]
-    right = v3.conj().transpose(1, 0, 2).reshape(d, d * n)  # [b, (c, j)]
-    k = (left @ right).reshape(d, n, d, n).transpose(0, 2, 1, 3).reshape(n, n * n)
-    jac = (k * omega.reshape(-1)) @ k.conj().T + min(1e-2, res_norm) * np.eye(n)
+    jac = _newton_jacobian(w, v, d)
+    jac.flat[:: d * d + 1] += min(1e-2, res_norm)
     try:
         step = np.linalg.solve(jac, -residual.reshape(-1))
     except np.linalg.LinAlgError as err:
@@ -204,6 +242,9 @@ def _project_cptp_dual(
     accepted when it halves the TP residual or, failing that, passes the
     Armijo test on theta; near the solution the decrease of theta falls
     below its rounding, so the residual test is the one that finishes.
+    A trial point costs one eigendecomposition: the residual comes from
+    the eigenpairs, and P_+(C + Y (x) I) is formed only for the result or
+    the error.
 
     Returns (projection, multiplier, Newton steps); the projection is
     positive semidefinite to rounding and its TP residual is at most
@@ -216,11 +257,11 @@ def _project_cptp_dual(
 
     def evaluate(y):
         w, v = eigh(_add_out_identity(c, d * y, d))
-        wp = np.clip(w, 0.0, None)
-        x = (v * wp) @ v.conj().T
-        residual = partial_trace_out(x, d) - eye
+        wp = np.maximum(w, 0.0)
+        # Tr_out(V diag(w+) V^dagger) - I on the (d, d n) views of V.
+        residual = (v * wp).reshape(d, -1) @ v.reshape(d, -1).conj().T - eye
         theta = 0.5 * float(wp @ wp) - float(np.trace(y).real)
-        return (w, v, x, residual), float(np.linalg.norm(residual)), theta
+        return (w, v, residual), float(np.linalg.norm(residual)), theta
 
     if y0 is None:
         y = np.zeros((d, d), dtype=complex)
@@ -229,12 +270,12 @@ def _project_cptp_dual(
     state, res_norm, theta = evaluate(y)
     steps = 0
     while res_norm > NEWTON_TOL:
-        w, v, x, residual = state
+        w, v, residual = state
         if steps == MAX_NEWTON_STEPS:
             raise ConvergenceError(
                 f"dual Newton projection did not converge in {MAX_NEWTON_STEPS} "
                 f"steps (TP residual {res_norm:.3e})",
-                last_iterate=hermitize(x),
+                last_iterate=_positive_part(w, v),
                 residual=res_norm,
             )
         dy = _newton_direction(w, v, residual, res_norm, d)
@@ -249,10 +290,10 @@ def _project_cptp_dual(
             if t < MIN_NEWTON_STEP:
                 raise ConvergenceError(
                     f"dual Newton line search failed at TP residual {res_norm:.3e}",
-                    last_iterate=hermitize(x),
+                    last_iterate=_positive_part(w, v),
                     residual=res_norm,
                 )
         y = y + t * dy
         state, res_norm, theta = trial, trial_norm, trial_theta
         steps += 1
-    return hermitize(state[2]), y, steps
+    return _positive_part(*state[:2]), y, steps

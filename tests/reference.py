@@ -10,6 +10,12 @@
   checked against the blockwise congruence the solver uses.
 * ``linear_inversion_dense``: minimum-norm least squares on the dense
   design, checked against the Kronecker-factored inversion.
+* ``dykstra_textbook``: Dykstra's loop with the full d^2 x d^2 TP
+  correction and the stopping sum formed every iteration, checked against
+  the d x d correction the package keeps.
+* ``newton_jacobian_dense`` and ``newton_direction_dense``: the dual Newton
+  Jacobian K diag(Omega) K^dagger over all n^2 eigenpair columns, checked
+  against the index-split Jacobian.
 """
 
 import numpy as np
@@ -17,6 +23,7 @@ import scipy.sparse
 
 from qptomo import (
     ConvergenceError,
+    SingularMatrixError,
     DomainError,
     build_design,
     hermitize,
@@ -28,7 +35,7 @@ from qptomo import (
     vec,
     vec_inv,
 )
-from qptomo.channel import EPS_COND, EPS_CP, EPS_TP
+from qptomo.channel import EPS_COND, EPS_CP, EPS_TP, tp_distance
 from qptomo.projections import MAX_INNER_ITERATIONS
 from qptomo.solvers import _Cost
 
@@ -142,3 +149,72 @@ def linear_inversion_dense(setup, counts) -> np.ndarray:
     d2 = setup.d**2
     x, *_ = np.linalg.lstsq(build_design(setup), counts.flat.astype(complex), rcond=None)
     return hermitize(vec_inv(x, d2, d2))
+
+
+def dykstra_textbook(
+    c: np.ndarray,
+    tol: float,
+    max_iterations: int = MAX_INNER_ITERATIONS,
+    eps_tp: float = EPS_TP,
+) -> tuple[np.ndarray, int, float]:
+    """Dykstra's loop as written; returns (matrix, iterations, stopping sum).
+
+    ``x`` is the CP iterate, ``y`` the TP iterate, ``p`` and ``q`` the
+    corrections carried into the TP and CP steps.
+    """
+    d = round(c.shape[0] ** 0.5)
+    x = hermitize(np.asarray(c, dtype=complex))
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    y_prev = None
+    stop_sum = np.inf
+    for k in range(max_iterations):
+        y = project_tp(x + p, d)
+        p_new = x + p - y
+        x_new = project_cp(y + q)
+        q_new = y + q - x_new
+        if k >= 1:
+            # Robust stopping sum over successive corrections and iterates.
+            stop_sum = (
+                float(np.linalg.norm(p_new - p) ** 2)
+                + float(np.linalg.norm(q_new - q) ** 2)
+                + 2.0 * abs(np.vdot(p, x_new - x))
+                + 2.0 * abs(np.vdot(q, y - y_prev))
+            )
+            if stop_sum <= tol and tp_distance(x_new, d) <= eps_tp:
+                return x_new, k + 1, stop_sum
+        y_prev = y
+        x, p, q = x_new, p_new, q_new
+    raise ConvergenceError(
+        f"Dykstra projection did not converge in {max_iterations} iterations "
+        f"(stopping sum {stop_sum:.3e})",
+        last_iterate=x,
+        residual=stop_sum,
+    )
+
+
+def newton_jacobian_dense(w: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
+    """K diag(Omega) K^dagger over all n^2 columns (i, j) of K."""
+    n = d * d
+    pos = w > 0
+    omega = (pos[:, None] & pos[None, :]).astype(float)
+    i, j = np.nonzero(pos[:, None] != pos[None, :])
+    wp = np.clip(w, 0.0, None)
+    omega[i, j] = (wp[i] - wp[j]) / (w[i] - w[j])
+    v3 = v.reshape(d, d, n)
+    left = v3.transpose(0, 2, 1).reshape(d * n, d)  # [(a, i), b]
+    right = v3.conj().transpose(1, 0, 2).reshape(d, d * n)  # [b, (c, j)]
+    k = (left @ right).reshape(d, n, d, n).transpose(0, 2, 1, 3).reshape(n, n * n)
+    return (k * omega.reshape(-1)) @ k.conj().T
+
+
+def newton_direction_dense(
+    w: np.ndarray, v: np.ndarray, residual: np.ndarray, res_norm: float, d: int
+) -> np.ndarray:
+    """The regularized Newton step of the dual projection on the dense Jacobian."""
+    jac = newton_jacobian_dense(w, v, d) + min(1e-2, res_norm) * np.eye(d * d)
+    try:
+        step = np.linalg.solve(jac, -residual.reshape(-1))
+    except np.linalg.LinAlgError as err:
+        raise SingularMatrixError(f"Newton system is singular: {err}") from err
+    return hermitize(step.reshape(d, d))

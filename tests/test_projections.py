@@ -23,9 +23,23 @@ from qptomo import (
     vec,
 )
 from qptomo import projections
-from qptomo.projections import _project_cptp_dual
+from qptomo.channel import EPS_TP
+from qptomo.projections import (
+    MAX_INNER_ITERATIONS,
+    _dykstra,
+    _newton_direction,
+    _newton_jacobian,
+    _project_cptp_dual,
+)
 from conftest import cptp_pool, random_hermitian
-from reference import m_operator, project_cptp_averaged, project_tp_m_form
+from reference import (
+    dykstra_textbook,
+    m_operator,
+    newton_direction_dense,
+    newton_jacobian_dense,
+    project_cptp_averaged,
+    project_tp_m_form,
+)
 
 RNG = np.random.default_rng(31)
 
@@ -249,10 +263,37 @@ class TestDykstra:
             project_cptp_dykstra(C_BOX, tol=1e-10, max_iterations=3)
         assert excinfo.value.last_iterate is not None
         assert excinfo.value.residual is not None
+        # The stopping sum is formed only once TP holds, so the message
+        # names the TP residual, which the error also carries.
+        assert f"TP residual {excinfo.value.residual:.3e}" in str(excinfo.value)
+        assert excinfo.value.residual > EPS_TP
 
     def test_invalid_tol(self):
         with pytest.raises(DomainError):
             project_cptp_dykstra(C_BOX, tol=0.0)
+
+
+class TestDykstraAgainstTextbook:
+    """The d x d TP correction against the loop with the full correction."""
+
+    @staticmethod
+    def assert_same_run(c, tol):
+        mat, iterations, stop_sum = _dykstra(c, tol, MAX_INNER_ITERATIONS, EPS_TP)
+        ref_mat, ref_iterations, ref_stop_sum = dykstra_textbook(c, tol)
+        assert iterations == ref_iterations
+        assert np.abs(mat - ref_mat).max() < 1e-12
+        assert abs(stop_sum - ref_stop_sum) < 1e-12
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-10])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_random_hermitians(self, d, tol):
+        rng = np.random.default_rng(800 + d)
+        for _ in range(20):
+            self.assert_same_run(random_hermitian(rng, d * d, scale=float(d)), tol)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-10])
+    def test_c_box(self, tol):
+        self.assert_same_run(C_BOX, tol)
 
 
 def random_unitary(rng, d):
@@ -304,6 +345,50 @@ class TestDualNewton:
             _project_cptp_dual(C_BOX)
         assert excinfo.value.last_iterate is not None
         assert excinfo.value.residual > projections.NEWTON_TOL
+
+
+def jacobian_cases(d):
+    """(label, ascending eigenvalues, eigenvectors) spanning the positive ranks."""
+    rng = np.random.default_rng(740 + d)
+    n = d * d
+    w, v = np.linalg.eigh(random_hermitian(rng, n, scale=float(d)))
+    zero = w.copy()
+    zero[np.argmin(np.abs(w))] = 0.0
+    unitary = choi_from_kraus([random_unitary(rng, d)])
+    w_u, v_u = np.linalg.eigh(unitary)
+    exact = np.zeros(n)
+    exact[-1] = float(d)
+    return [
+        ("mixed", w, v),
+        ("negative definite", np.sort(-np.abs(w)) - 0.1, v),
+        ("positive definite", np.sort(np.abs(w)) + 0.1, v),
+        ("exact zero eigenvalue", zero, v),
+        ("unitary channel", w_u, v_u),
+        ("unitary channel, exact spectrum", exact, v_u),
+    ]
+
+
+class TestNewtonJacobian:
+    """The index-split Jacobian against K diag(Omega) K^dagger over all pairs."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_dense(self, d):
+        ranks = set()
+        for label, w, v in jacobian_cases(d):
+            ranks.add(int((w > 0).sum()))
+            split = _newton_jacobian(w, v, d)
+            assert np.abs(split - newton_jacobian_dense(w, v, d)).max() < 1e-12, label
+        assert {0, d * d} <= ranks
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_direction_matches_dense(self, d):
+        rng = np.random.default_rng(750 + d)
+        for label, w, v in jacobian_cases(d):
+            residual = random_hermitian(rng, d)
+            res_norm = float(np.linalg.norm(residual))
+            step = _newton_direction(w, v, residual, res_norm, d)
+            ref = newton_direction_dense(w, v, residual, res_norm, d)
+            assert np.abs(step - ref).max() < 1e-10, label
 
 
 class TestAveragedProjection:

@@ -37,7 +37,12 @@ from qptomo import (
 )
 from qptomo import projections, solvers
 from qptomo.solvers import DiaConfig, PgdbConfig
-from reference import dia_trials_kron, dia_update_kron, linear_inversion_dense
+from reference import (
+    dia_trials_kron,
+    dia_update_kron,
+    linear_inversion_dense,
+    newton_direction_dense,
+)
 
 
 def quasi_pure(d, seed):
@@ -148,6 +153,18 @@ class TestPgdb:
             solve_pgdb(setup2, counts, cfg)
         assert excinfo.value.report is not None
         assert excinfo.value.last_iterate is not None
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_same_trajectory_on_the_dense_jacobian(self, d, monkeypatch):
+        setup = minimal_setup(d)
+        truth = quasi_pure(d, seed=30 + d)
+        counts = simulate_counts(truth, setup, SimulationSpec(10**5, rng_seed=30 + d))
+        est, report = solve_pgdb(setup, counts)
+        monkeypatch.setattr(projections, "_newton_direction", newton_direction_dense)
+        ref_est, ref_report = solve_pgdb(setup, counts)
+        assert report.iterations == ref_report.iterations
+        assert report.projection_steps == ref_report.projection_steps
+        assert np.abs(est - ref_est).max() < 1e-10
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
