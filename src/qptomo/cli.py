@@ -178,17 +178,14 @@ def _cmd_reconstruct(args) -> int:
               f"final cost {report.final_cost:.12g}")
         return exit_code
 
+    # Passed to the constructor, so that the config checks the cap too.
+    cap = {} if args.max_iters is None else {"max_outer_iterations": args.max_iters}
     try:
         if args.method == "pgdb":
-            cfg = PgdbConfig(mu=args.mu, gamma=args.gamma, f_tol=args.ftol)
-            if args.max_iters is not None:
-                cfg.max_outer_iterations = args.max_iters
+            cfg = PgdbConfig(mu=args.mu, gamma=args.gamma, f_tol=args.ftol, **cap)
             est, report = solve_pgdb(setup, counts, cfg)
         elif args.method == "dia":
-            cfg = DiaConfig(f_tol=args.ftol)
-            if args.max_iters is not None:
-                cfg.max_outer_iterations = args.max_iters
-            est, report = solve_dia(setup, counts, cfg)
+            est, report = solve_dia(setup, counts, DiaConfig(f_tol=args.ftol, **cap))
         else:
             est, report = solve_lifp(setup, counts)
     except (ConvergenceError, StalledStepError) as err:

@@ -28,7 +28,12 @@ Two algorithms compute the closest CPTP point:
   --set cptp``): Dykstra's alternating TP and CP projections with
   correction terms, which converge to the closest point of the
   intersection (plain alternating or averaged projections only reach
-  feasibility). Its TP correction is kept as a d x d matrix.
+  feasibility). For these two sets Dykstra is dual gradient descent:
+  its CP-step input A = y + q obeys A <- A + ((I - Tr_out P_+(A)) / d) (x) I,
+  a step of 1/L with L = d on the same dual theta(Y) that Newton solves
+  (Gaffke & Mathar 1989; Henrion & Malick 2012). So the loop runs on A
+  alone: one eigendecomposition and a d x d update per iteration, with
+  P_+(A) formed only for the stopping sum once TP holds.
 
 The textbook Dykstra loop and the dense Newton Jacobian are test
 references, in ``tests/reference.py``.
@@ -67,6 +72,15 @@ def _add_out_identity(c: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
 def _positive_part(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """P_+(V diag(w) V^dagger): keep the positive eigenvalues."""
     return hermitize((v * np.maximum(w, 0.0)) @ v.conj().T)
+
+
+def _tr_out_positive(w: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
+    """Tr_out P_+(V diag(w) V^dagger) from the eigenpairs, without P_+ itself.
+
+    One d x d n by d n x d matmul on the (d, d n) views of V, O(d^5)
+    instead of the O(d^6) of forming P_+ first.
+    """
+    return (v * np.maximum(w, 0.0)).reshape(d, -1) @ v.reshape(d, -1).conj().T
 
 
 def project_cp(c: np.ndarray) -> np.ndarray:
@@ -112,50 +126,74 @@ def _dykstra(
 ) -> tuple[np.ndarray, int, float]:
     """Core Dykstra loop; returns (matrix, iterations, stopping sum).
 
-    ``x`` is the CP iterate, ``y`` the TP iterate and ``q`` the correction
-    carried into the CP step. The correction carried into the TP step is
-    always z (x) I, which the TP step removes again (P_TP(x + z (x) I) =
-    P_TP(x)), so only the d x d ``z`` is kept: the TP step shifts ``x`` by
-    (gap / d) (x) I with gap = I - Tr_out x, the gap of the previous TP
-    test, and ``z`` falls by gap / d. The stopping sum's TP terms reduce to
-    d x d ones, ||p' - p||^2 = ||gap||^2 / d and <p, x' - x> =
-    <z, gap - gap'>, and the sum is formed only once the TP residual
-    ||gap'|| of the new CP iterate is within ``eps_tp``, since it cannot
-    stop the loop before. At the iteration cap the :class:`ConvergenceError`
-    carries that TP residual.
+    The loop runs on A = y + q, the input of the CP step (``y`` the TP
+    iterate, ``q`` the correction carried into the CP step). The correction
+    carried into the TP step is always z (x) I, which the TP step removes
+    again, so one iteration maps A to A + (gap / d) (x) I with
+    gap = I - Tr_out P_+(A): gradient descent with step 1/d (the Lipschitz
+    constant L = d) on the dual theta(Y) = 1/2 ||P_+(C + Y (x) I)||^2 - Tr Y
+    that ``_project_cptp_dual`` solves by Newton (Gaffke & Mathar 1989).
+    An iteration is one eigendecomposition of A, the d x d gap from its
+    eigenpairs and the update.
+
+    The CP iterate x = P_+(A) and q = A - x are formed only once the TP
+    residual ||gap|| is within ``eps_tp``, since the stopping sum cannot
+    stop the loop before. The sum over successive corrections and iterates
+    needs x and q of this and the two previous iterations, each formed at
+    most once from the kept (A, w, v). Its TP terms reduce to d x d ones,
+    ||p' - p||^2 = ||gap_prev||^2 / d and <p, x' - x> = <z, gap_prev - gap>
+    with p = z (x) I. At the iteration cap the :class:`ConvergenceError`
+    carries P_+(A) of the last iteration and its TP residual.
     """
     d = round(c.shape[0] ** 0.5)
+    n = d * d
     eye = np.eye(d)
-    x = hermitize(np.asarray(c, dtype=complex))
-    gap = eye - partial_trace_out(x, d)
-    z = np.zeros((d, d), dtype=complex)
-    q = np.zeros_like(x)
-    y_prev = None
+    out_eye = eye[:, None, :]
+    c = hermitize(np.asarray(c, dtype=complex))
+    gap = eye - partial_trace_out(c, d)
+    a = _add_out_identity(c, gap, d)
+    zero = np.zeros_like(a)
+    # [A, w, v, (x, q) or None] of the last three iterations, oldest first.
+    kept = []
+
+    def parts(j):
+        """(x, q) of the j-th newest kept iteration; q = 0 before the first."""
+        if j >= len(kept):
+            return None, zero
+        entry = kept[-1 - j]
+        if entry[3] is None:
+            x = _positive_part(entry[1], entry[2])
+            entry[3] = (x, entry[0] - x)
+        return entry[3]
+
     tp_res = stop_sum = np.inf
     for k in range(max_iterations):
-        y = _add_out_identity(x, gap, d)
-        y_q = y + q
-        x_new = project_cp(y_q)
-        q_new = y_q - x_new
-        gap_new = eye - partial_trace_out(x_new, d)
+        w, v = eigh(a)
+        gap_new = eye - _tr_out_positive(w, v, d)
         tp_res = float(np.vdot(gap_new, gap_new).real) ** 0.5
+        kept = kept[-2:] + [[a, w, v, None]]
         if k >= 1 and tp_res <= eps_tp:
-            # Robust stopping sum over successive corrections and iterates.
+            x, q = parts(0)
+            _, q_prev = parts(1)
+            _, q_prev2 = parts(2)
+            # A = C + Y (x) I, Y the sum of the gaps / d added so far; the
+            # TP correction z is -Y before the last of them.
+            z = (gap - partial_trace_out(a - c, d)) / d
+            # Robust stopping sum; y - y_prev = (A - q_prev) - (A_prev - q_prev2).
             stop_sum = (
                 float(np.linalg.norm(gap) ** 2) / d
-                + float(np.linalg.norm(q_new - q) ** 2)
+                + float(np.linalg.norm(q - q_prev) ** 2)
                 + 2.0 * abs(np.vdot(z, gap - gap_new))
-                + 2.0 * abs(np.vdot(q, y - y_prev))
+                + 2.0 * abs(np.vdot(q_prev, (a - q_prev) - (kept[-2][0] - q_prev2)))
             )
             if stop_sum <= tol:
-                return x_new, k + 1, stop_sum
-        y_prev = y
-        z = z - gap / d
-        x, gap, q = x_new, gap_new, q_new
+                return x, k + 1, stop_sum
+        gap = gap_new
+        a = a + ((gap / d)[:, None, :, None] * out_eye).reshape(n, n)
     raise ConvergenceError(
         f"Dykstra projection did not converge in {max_iterations} iterations "
         f"(TP residual {tp_res:.3e}, last stopping sum {stop_sum:.3e})",
-        last_iterate=x,
+        last_iterate=parts(0)[0],
         residual=tp_res,
     )
 
@@ -177,6 +215,9 @@ def project_cptp_dykstra(
     """
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
+    if max_iterations < 1:
+        # The ConvergenceError of a capped run carries P_+ of its last iteration.
+        raise DomainError(f"max_iterations must be at least 1, got {max_iterations}")
     mat, _, _ = _dykstra(np.asarray(c, dtype=complex), tol, max_iterations, eps_tp)
     return mat
 
@@ -258,8 +299,7 @@ def _project_cptp_dual(
     def evaluate(y):
         w, v = eigh(_add_out_identity(c, d * y, d))
         wp = np.maximum(w, 0.0)
-        # Tr_out(V diag(w+) V^dagger) - I on the (d, d n) views of V.
-        residual = (v * wp).reshape(d, -1) @ v.reshape(d, -1).conj().T - eye
+        residual = _tr_out_positive(w, v, d) - eye
         theta = 0.5 * float(wp @ wp) - float(np.trace(y).real)
         return (w, v, residual), float(np.linalg.norm(residual)), theta
 

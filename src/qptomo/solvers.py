@@ -8,6 +8,7 @@ accepted step whose cost decrease is at or below ``f_tol``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -33,6 +34,12 @@ from .linalg import (
 from .projections import _project_cptp_dual
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Reject a solver parameter that is not a finite positive number."""
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass
 class PgdbConfig:
     """Metaparameters of the projected gradient descent solver.
@@ -51,12 +58,14 @@ class PgdbConfig:
     min_alpha: float = 1e-12
 
     def __post_init__(self):
-        if self.mu is not None and self.mu <= 0:
-            raise DomainError(f"mu must be positive, got {self.mu}")
+        if self.mu is not None:
+            _check_positive("mu", self.mu)
         if not 0.0 < self.gamma < 1.0:
             raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.f_tol <= 0:
-            raise DomainError(f"f_tol must be positive, got {self.f_tol}")
+        _check_positive("f_tol", self.f_tol)
+        _check_positive("eps_cond", self.eps_cond)
+        _check_positive("min_alpha", self.min_alpha)
+        _check_positive("max_outer_iterations", self.max_outer_iterations)
 
 
 @dataclass
@@ -69,8 +78,10 @@ class DiaConfig:
     eps_cond: float = EPS_COND
 
     def __post_init__(self):
-        if self.f_tol <= 0 or self.min_epsilon <= 0 or self.max_outer_iterations <= 0:
-            raise DomainError("all DiaConfig parameters must be positive")
+        _check_positive("f_tol", self.f_tol)
+        _check_positive("max_outer_iterations", self.max_outer_iterations)
+        _check_positive("min_epsilon", self.min_epsilon)
+        _check_positive("eps_cond", self.eps_cond)
 
 
 @dataclass
@@ -109,8 +120,7 @@ class _Cost:
 
     def __init__(self, setup: TomographySetup, counts: CountsTable, eps_cond: float):
         _check_counts(setup, counts)
-        if eps_cond <= 0:
-            raise DomainError(f"eps_cond must be positive, got {eps_cond}")
+        _check_positive("eps_cond", eps_cond)
         self.setup = setup
         self.n_flat = counts.flat
         self.eps_cond = eps_cond
@@ -338,8 +348,12 @@ def solve_dia(
 
 
 def _dia_update(c: np.ndarray, g: np.ndarray, epsilon: float) -> np.ndarray:
-    """One diluted step: R C R normalized by (W^{-1/2} (x) I), W = Tr_out(R C R)."""
-    r = epsilon * g + (1.0 - epsilon) * np.eye(len(g))
+    """One diluted step: R C R normalized by (W^{-1/2} (x) I), W = Tr_out(R C R).
+
+    At epsilon = 1, the step DIA tries first and almost always accepts, R is
+    G itself, with no identity to build and no scalings.
+    """
+    r = g if epsilon == 1.0 else epsilon * g + (1.0 - epsilon) * np.eye(len(g))
     rcr = r @ c @ r
     return block_congruence(psd_sqrt_inv(partial_trace_out(rcr)), rcr)
 

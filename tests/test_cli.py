@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,24 @@ class TestReconstruct:
                    "--out", tmp_path / "est.json") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("options", [
+        ("--method", "pgdb", "--mu", "nan"),
+        ("--method", "pgdb", "--mu", "inf"),
+        ("--method", "pgdb", "--ftol", "nan"),
+        ("--method", "pgdb", "--max-iters", 0),
+        ("--method", "dia", "--max-iters", 0),
+        ("--method", "dia", "--ftol", "inf"),
+    ], ids=lambda options: "-".join(str(o).lstrip("-") for o in options))
+    def test_bad_solver_parameter_exits_1(self, tmp_path, counts_inf, capsys, options):
+        _, counts = counts_inf
+        est = tmp_path / "est.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("reconstruct", "--counts", counts, *options, "--out", est) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not est.exists()
 
     def test_unknown_method_is_usage_error(self, tmp_path, counts_inf):
         _, counts = counts_inf

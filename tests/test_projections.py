@@ -267,10 +267,52 @@ class TestDykstra:
         # names the TP residual, which the error also carries.
         assert f"TP residual {excinfo.value.residual:.3e}" in str(excinfo.value)
         assert excinfo.value.residual > EPS_TP
+        last = excinfo.value.last_iterate
+        assert np.linalg.eigvalsh(last).min() >= -1e-12
+        tp_res = np.linalg.norm(partial_trace_out(last, 2) - np.eye(2))
+        assert abs(tp_res - excinfo.value.residual) <= 1e-12
+
+    def test_positive_part_formed_only_once_tp_holds(self, monkeypatch):
+        # An iteration costs one eigendecomposition and the d x d partial
+        # trace from its eigenpairs; P_+ is formed for the stopping sum only,
+        # at most once per iteration that passes the TP test, plus the two
+        # iterations before the first of them.
+        d = 3
+        formed = []
+        residuals = []
+        positive_part = projections._positive_part
+        tr_out_positive = projections._tr_out_positive
+
+        def counting_positive_part(w, v):
+            formed.append(1)
+            return positive_part(w, v)
+
+        def recording_tr_out(w, v, d):
+            out = tr_out_positive(w, v, d)
+            residuals.append(np.linalg.norm(np.eye(d) - out))
+            return out
+
+        monkeypatch.setattr(projections, "_positive_part", counting_positive_part)
+        monkeypatch.setattr(projections, "_tr_out_positive", recording_tr_out)
+        rng = np.random.default_rng(830)
+        for _ in range(20):
+            formed.clear()
+            residuals.clear()
+            _, iterations, _ = _dykstra(
+                random_hermitian(rng, d * d, scale=float(d)), 1e-4,
+                MAX_INNER_ITERATIONS, EPS_TP,
+            )
+            assert len(residuals) == iterations
+            passing = sum(1 for res in residuals[1:] if res <= EPS_TP)
+            assert 1 <= len(formed) <= passing + 2
 
     def test_invalid_tol(self):
         with pytest.raises(DomainError):
             project_cptp_dykstra(C_BOX, tol=0.0)
+
+    def test_invalid_iteration_cap(self):
+        with pytest.raises(DomainError):
+            project_cptp_dykstra(C_BOX, max_iterations=0)
 
 
 class TestDykstraAgainstTextbook:

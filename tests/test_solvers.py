@@ -36,6 +36,7 @@ from qptomo import (
     vec,
 )
 from qptomo import projections, solvers
+from qptomo.linalg import block_congruence
 from qptomo.solvers import DiaConfig, PgdbConfig
 from reference import (
     dia_trials_kron,
@@ -175,6 +176,29 @@ class TestPgdb:
             PgdbConfig(f_tol=0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("config, name", [
+    (PgdbConfig, "mu"),
+    (PgdbConfig, "gamma"),
+    (PgdbConfig, "f_tol"),
+    (PgdbConfig, "eps_cond"),
+    (PgdbConfig, "min_alpha"),
+    (PgdbConfig, "max_outer_iterations"),
+    (DiaConfig, "f_tol"),
+    (DiaConfig, "min_epsilon"),
+    (DiaConfig, "eps_cond"),
+    (DiaConfig, "max_outer_iterations"),
+])
+def test_config_rejects_non_finite_or_non_positive(config, name, value):
+    with pytest.raises(DomainError):
+        config(**{name: value})
+
+
+def test_cost_rejects_nan_floor(setup2, noisy_data):
+    with pytest.raises(DomainError):
+        gradient(np.eye(4) / 2, setup2, noisy_data[1], eps_cond=np.nan)
+
+
 class TestDia:
     def test_zero_dilution_is_fixed_point(self):
         # With epsilon = 0 the update reduces to the identity on TP iterates.
@@ -228,6 +252,18 @@ class TestDia:
             g = -gradient(c, setup3, counts)
             expected = dia_update_kron(c, g, epsilon)
             assert np.abs(solvers._dia_update(c, g, epsilon) - expected).max() < 1e-12
+
+    def test_unit_dilution_is_the_general_formula_exactly(self, setup3):
+        # At epsilon = 1 the update uses G as R; the general
+        # R = eps G + (1 - eps) I gives the same bits there.
+        counts = simulate_counts(quasi_pure(3, seed=23), setup3, SimulationSpec(None))
+        start = random_cptp(EnsembleSpec(d=3, kraus_rank=2, rng_seed=23))
+        for c in (np.eye(9, dtype=complex) / 3, start):
+            g = -gradient(c, setup3, counts)
+            r = 1.0 * g + (1.0 - 1.0) * np.eye(9)
+            rcr = r @ c @ r
+            expected = block_congruence(psd_sqrt_inv(partial_trace_out(rcr)), rcr)
+            assert np.array_equal(solvers._dia_update(c, g, 1.0), expected)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_first_iterates_match_kron_loop(self, d, monkeypatch):
