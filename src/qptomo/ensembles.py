@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import TomographySetup, CountsTable, forward_probs, is_cptp
 from .errors import DimensionError, DomainError, LapackError
-from .linalg import hermitize, kron, partial_trace_out, psd_sqrt_inv, trace_norm
+from .linalg import block_congruence, partial_trace_out, psd_sqrt_inv, trace_norm
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,7 @@ def _full_rank_choi(rng: np.random.Generator, d: int, kraus_rank: int) -> np.nda
         (d * d, kraus_rank)
     )
     g = x @ x.conj().T
-    s = psd_sqrt_inv(partial_trace_out(g, d))
-    sk = kron(s, np.eye(d))
-    return hermitize(sk @ g @ sk)
+    return block_congruence(psd_sqrt_inv(partial_trace_out(g, d)), g)
 
 
 def random_cptp(spec: EnsembleSpec) -> np.ndarray:
@@ -120,12 +118,8 @@ def random_quasi_pure(spec: EnsembleSpec) -> np.ndarray:
             f"random_quasi_pure expects kind 'quasi_pure', got {spec.kind!r}"
         )
     rng = np.random.default_rng(spec.rng_seed)
-    m = spec.d**2
-    weights = quasi_pure_weights(m, spec.target_purity_sum)
-    c = np.zeros((m, m), dtype=complex)
-    for w in weights:
-        c += w * _full_rank_choi(rng, spec.d, 1)
-    return hermitize(c)
+    weights = quasi_pure_weights(spec.d**2, spec.target_purity_sum)
+    return sum(w * _full_rank_choi(rng, spec.d, 1) for w in weights)
 
 
 def _pure_state(ket: np.ndarray) -> np.ndarray:
@@ -155,22 +149,6 @@ def minimal_setup(d: int) -> TomographySetup:
     return TomographySetup(preps, povm)
 
 
-def _multinomial(rng: np.random.Generator, n: int, p: np.ndarray) -> np.ndarray:
-    """One multinomial draw by sequential binomial decomposition."""
-    counts = np.zeros(p.size, dtype=np.int64)
-    remaining = n
-    rest = 1.0
-    for j in range(p.size - 1):
-        if remaining == 0 or rest <= 0:
-            break
-        pj = min(max(p[j] / rest, 0.0), 1.0)
-        counts[j] = rng.binomial(remaining, pj)
-        remaining -= counts[j]
-        rest -= p[j]
-    counts[-1] = remaining
-    return counts
-
-
 def simulate_counts(
     choi_true: np.ndarray, setup: TomographySetup, sim: SimulationSpec
 ) -> CountsTable:
@@ -189,8 +167,7 @@ def simulate_counts(
     if sim.n_samples is None:
         return CountsTable(p)
     rng = np.random.default_rng(sim.rng_seed)
-    counts = np.vstack([_multinomial(rng, sim.n_samples, row) for row in p])
-    return CountsTable.from_raw(counts)
+    return CountsTable.from_raw(rng.multinomial(sim.n_samples, p))
 
 
 def j_distance(choi_a: np.ndarray, choi_b: np.ndarray) -> float:

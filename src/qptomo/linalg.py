@@ -14,6 +14,9 @@ from .errors import DimensionError, LapackError, SingularMatrixError
 # Kronecker product, block (i, j) = A_ij * B.
 kron = np.kron
 
+#: Eigenvalue floor below which :func:`psd_sqrt_inv` calls a matrix singular.
+TOL_PD = 1e-12
+
 
 def vec(x: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a 1-D vector."""
@@ -88,16 +91,16 @@ def trace_norm(x: np.ndarray) -> float:
     return float(s.sum())
 
 
-def psd_sqrt_inv(x: np.ndarray, tol_pd: float = 1e-12) -> np.ndarray:
+def psd_sqrt_inv(x: np.ndarray) -> np.ndarray:
     """Inverse square root of a Hermitian positive definite matrix.
 
     Fails loudly rather than amplify noise: eigenvalues at or below
-    ``tol_pd`` raise :class:`SingularMatrixError`.
+    ``TOL_PD`` raise :class:`SingularMatrixError`.
     """
     w, v = eigh(x)
-    if w.min() <= tol_pd:
+    if w.min() <= TOL_PD:
         raise SingularMatrixError(
-            f"matrix not positive definite: min eigenvalue {w.min():.3e} <= {tol_pd:g}"
+            f"matrix not positive definite: min eigenvalue {w.min():.3e} <= {TOL_PD:g}"
         )
     return hermitize((v * w**-0.5) @ v.conj().T)
 

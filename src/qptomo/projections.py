@@ -202,15 +202,14 @@ def project_cptp_dykstra(
     c: np.ndarray,
     tol: float = DYKSTRA_TOL,
     max_iterations: int = MAX_INNER_ITERATIONS,
-    eps_tp: float = EPS_TP,
 ) -> np.ndarray:
     """Project onto the closest CPTP Choi operator (Dykstra's algorithm).
 
     Alternates the TP and CP projections with correction terms; the
     returned iterate comes from the CP step, so it is positive
     semidefinite to machine precision while the TP condition holds within
-    ``eps_tp``. The loop stops once the robust stopping sum falls below
-    ``tol`` and the TP residual is within ``eps_tp``; it always runs at
+    ``EPS_TP``. The loop stops once the robust stopping sum falls below
+    ``tol`` and the TP residual is within ``EPS_TP``; it always runs at
     least two iterations because the sum compares successive corrections.
     """
     if tol <= 0:
@@ -218,7 +217,7 @@ def project_cptp_dykstra(
     if max_iterations < 1:
         # The ConvergenceError of a capped run carries P_+ of its last iteration.
         raise DomainError(f"max_iterations must be at least 1, got {max_iterations}")
-    mat, _, _ = _dykstra(np.asarray(c, dtype=complex), tol, max_iterations, eps_tp)
+    mat, _, _ = _dykstra(np.asarray(c, dtype=complex), tol, max_iterations, EPS_TP)
     return mat
 
 

@@ -40,6 +40,12 @@ def _check_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
+def _check_cap(value: int) -> None:
+    """Reject an iteration cap that is not a positive integer; bools included."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise DomainError(f"max_outer_iterations must be an integer >= 1, got {value!r}")
+
+
 @dataclass
 class PgdbConfig:
     """Metaparameters of the projected gradient descent solver.
@@ -65,7 +71,7 @@ class PgdbConfig:
         _check_positive("f_tol", self.f_tol)
         _check_positive("eps_cond", self.eps_cond)
         _check_positive("min_alpha", self.min_alpha)
-        _check_positive("max_outer_iterations", self.max_outer_iterations)
+        _check_cap(self.max_outer_iterations)
 
 
 @dataclass
@@ -79,7 +85,7 @@ class DiaConfig:
 
     def __post_init__(self):
         _check_positive("f_tol", self.f_tol)
-        _check_positive("max_outer_iterations", self.max_outer_iterations)
+        _check_cap(self.max_outer_iterations)
         _check_positive("min_epsilon", self.min_epsilon)
         _check_positive("eps_cond", self.eps_cond)
 
@@ -193,6 +199,46 @@ def _finish(report: SolverReport, start: float, cost: _Cost) -> None:
     report.iterations = len(report.cost_trace) - 1
 
 
+def _descend(
+    cost: _Cost, report: SolverReport, cfg: PgdbConfig | DiaConfig, step
+) -> tuple[np.ndarray, SolverReport]:
+    """The outer loop of pgdB and DIA: from I/d until the decrease is <= f_tol.
+
+    ``step(C, p, f)`` returns the accepted ``(C, p, f, step size)``, or None
+    when C is stationary, and raises a bare :class:`StalledStepError` or
+    :class:`ConvergenceError` when it finds no step. Such an error, and the
+    one raised at the cap, leaves with the last accepted iterate and report.
+    """
+    start = time.perf_counter()
+    d = cost.setup.d
+    c = np.eye(d * d, dtype=complex) / d
+    p = cost.probs(c)
+    report.cost_trace.append(cost.from_probs(p))
+    status = "converged"
+    try:
+        for _ in range(cfg.max_outer_iterations):
+            accepted = step(c, p, report.cost_trace[-1])
+            if accepted is None:
+                break
+            c, p, f, size = accepted
+            report.cost_trace.append(f)
+            report.step_trace.append(size)
+            if report.cost_trace[-2] - f <= cfg.f_tol:
+                break
+        else:
+            raise ConvergenceError(
+                f"{report.method} hit the iteration cap ({cfg.max_outer_iterations})"
+            )
+    except (StalledStepError, ConvergenceError) as err:
+        status = "stalled" if isinstance(err, StalledStepError) else "iteration_cap"
+        err.last_iterate, err.report = c, report
+        raise
+    finally:
+        report.status = status
+        _finish(report, start, cost)
+    return c, report
+
+
 def solve_pgdb(
     setup: TomographySetup,
     counts: CountsTable,
@@ -207,74 +253,42 @@ def solve_pgdb(
     CPTP is convex, every backtracked point stays feasible.
 
     Raises :class:`StalledStepError` when no admissible step size remains
-    and :class:`ConvergenceError` (carrying the last iterate) at the
-    iteration cap.
+    and :class:`ConvergenceError` (carrying the last iterate) when the
+    projection fails or at the iteration cap.
     """
     cfg = config or PgdbConfig()
-    d = setup.d
-    mu = cfg.mu if cfg.mu is not None else 3.0 / (2.0 * d * d)
+    mu = cfg.mu if cfg.mu is not None else 3.0 / (2.0 * setup.d**2)
     cost = _Cost(setup, counts, cfg.eps_cond)
     report = SolverReport(method="pgdb")
-    start = time.perf_counter()
-
-    c = np.eye(d * d, dtype=complex) / d
-    p_c = cost.probs(c)
-    f_c = cost.from_probs(p_c)
-    report.cost_trace.append(f_c)
-
     y = None
-    for _ in range(cfg.max_outer_iterations):
+
+    def step(c, p_c, f_c):
+        nonlocal y
         grad = cost.gradient_from_probs(p_c)
         try:
             proj, y, steps = _project_cptp_dual(c - grad / mu, y)
         except ConvergenceError as err:
-            report.status = "iteration_cap"
-            _finish(report, start, cost)
-            raise ConvergenceError(
-                f"inner CPTP projection did not converge: {err}",
-                last_iterate=c,
-                residual=err.residual,
-                report=report,
-            ) from err
+            msg = f"inner CPTP projection did not converge: {err}"
+            raise ConvergenceError(msg, residual=err.residual) from err
         report.projection_steps.append(steps)
         direction = proj - c
         slope = frobenius_inner(direction, grad)
         if slope >= 0.0:
             # Numerically stationary: the projected step does not descend.
-            report.status = "converged"
-            break
+            return None
         p_dir = cost.probs(direction)
         alpha = 1.0
         while cost.from_probs(p_c + alpha * p_dir) > f_c + cfg.gamma * alpha * slope:
             alpha *= 0.5
             if alpha < cfg.min_alpha:
-                report.status = "stalled"
-                _finish(report, start, cost)
                 raise StalledStepError(
-                    f"no acceptable step above alpha={cfg.min_alpha:g}",
-                    last_iterate=c,
-                    report=report,
+                    f"no acceptable step above alpha={cfg.min_alpha:g}"
                 )
         c = hermitize(c + alpha * direction)
         p_c = cost.probs(c)
-        f_new = cost.from_probs(p_c)
-        report.cost_trace.append(f_new)
-        report.step_trace.append(alpha)
-        decrease = f_c - f_new
-        f_c = f_new
-        if decrease <= cfg.f_tol:
-            report.status = "converged"
-            break
-    else:
-        report.status = "iteration_cap"
-        _finish(report, start, cost)
-        raise ConvergenceError(
-            f"pgdB hit the iteration cap ({cfg.max_outer_iterations})",
-            last_iterate=c,
-            report=report,
-        )
-    _finish(report, start, cost)
-    return c, report
+        return c, p_c, cost.from_probs(p_c), alpha
+
+    return _descend(cost, report, cfg, step)
 
 
 def solve_dia(
@@ -298,17 +312,9 @@ def solve_dia(
     is reset to 1 each outer iteration and halved until the cost decreases.
     """
     cfg = config or DiaConfig()
-    d = setup.d
     cost = _Cost(setup, counts, cfg.eps_cond)
-    report = SolverReport(method="dia")
-    start = time.perf_counter()
 
-    c = np.eye(d * d, dtype=complex) / d
-    p_c = cost.probs(c)
-    f_c = cost.from_probs(p_c)
-    report.cost_trace.append(f_c)
-
-    for _ in range(cfg.max_outer_iterations):
+    def step(c, p_c, f_c):
         g = -cost.gradient_from_probs(p_c)
         epsilon = 1.0
         while True:
@@ -316,35 +322,14 @@ def solve_dia(
             p_new = cost.probs(c_new)
             f_new = cost.from_probs(p_new)
             if f_new <= f_c:
-                break
+                return c_new, p_new, f_new, epsilon
             epsilon *= 0.5
             if epsilon < cfg.min_epsilon:
-                report.status = "stalled"
-                _finish(report, start, cost)
                 raise StalledStepError(
-                    f"no cost decrease above epsilon={cfg.min_epsilon:g}",
-                    last_iterate=c,
-                    report=report,
+                    f"no cost decrease above epsilon={cfg.min_epsilon:g}"
                 )
-        c = c_new
-        p_c = p_new
-        report.cost_trace.append(f_new)
-        report.step_trace.append(epsilon)
-        decrease = f_c - f_new
-        f_c = f_new
-        if decrease <= cfg.f_tol:
-            report.status = "converged"
-            break
-    else:
-        report.status = "iteration_cap"
-        _finish(report, start, cost)
-        raise ConvergenceError(
-            f"DIA hit the iteration cap ({cfg.max_outer_iterations})",
-            last_iterate=c,
-            report=report,
-        )
-    _finish(report, start, cost)
-    return c, report
+
+    return _descend(cost, SolverReport(method="dia"), cfg, step)
 
 
 def _dia_update(c: np.ndarray, g: np.ndarray, epsilon: float) -> np.ndarray:

@@ -176,8 +176,7 @@ class TestPgdb:
             PgdbConfig(f_tol=0.0)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
-@pytest.mark.parametrize("config, name", [
+CONFIG_FIELDS = [
     (PgdbConfig, "mu"),
     (PgdbConfig, "gamma"),
     (PgdbConfig, "f_tol"),
@@ -188,10 +187,28 @@ class TestPgdb:
     (DiaConfig, "min_epsilon"),
     (DiaConfig, "eps_cond"),
     (DiaConfig, "max_outer_iterations"),
+]
+
+
+# An iteration cap must also be an integer: range() rejects 2.5, and a bool
+# is not a count.
+@pytest.mark.parametrize("config, name, value", [
+    (config, name, value)
+    for config, name in CONFIG_FIELDS
+    for value in [np.nan, np.inf, -np.inf, 0.0, -1.0]
+] + [
+    (config, "max_outer_iterations", value)
+    for config in (PgdbConfig, DiaConfig)
+    for value in [2.5, 3.0, True, False, "5"]
 ])
 def test_config_rejects_non_finite_or_non_positive(config, name, value):
     with pytest.raises(DomainError):
         config(**{name: value})
+
+
+@pytest.mark.parametrize("config", [PgdbConfig, DiaConfig])
+def test_config_accepts_numpy_integer_cap(config):
+    assert config(max_outer_iterations=np.int64(7)).max_outer_iterations == 7
 
 
 def test_cost_rejects_nan_floor(setup2, noisy_data):
@@ -234,6 +251,30 @@ class TestDia:
         assert j_distance(est_d, truth) <= 1e-3
         decreases = -np.diff(rep_d.cost_trace)
         assert (decreases >= 0).all()
+
+    def test_stalled_step_error_carries_last_accepted_iterate(
+        self, setup2, noisy_data, monkeypatch
+    ):
+        # After three real steps every trial returns the costlier start I/d,
+        # so the dilution halves below min_epsilon.
+        update = solvers._dia_update
+        accepted = []
+
+        def regressing(c, g, epsilon):
+            if len(accepted) == 3:
+                return np.eye(4, dtype=complex) / 2
+            accepted.append(update(c, g, epsilon))
+            return accepted[-1]
+
+        monkeypatch.setattr(solvers, "_dia_update", regressing)
+        with pytest.raises(StalledStepError) as excinfo:
+            solve_dia(setup2, noisy_data[1])
+        report = excinfo.value.report
+        assert report.status == "stalled"
+        assert excinfo.value.last_iterate is accepted[-1]
+        assert report.cost_trace.dtype == np.float64
+        assert report.step_trace.dtype == np.float64
+        assert len(report.cost_trace) == report.iterations + 1 == 4
 
     def test_dilution_trace_recorded(self, setup2, noisy_data):
         _, counts = noisy_data
