@@ -42,7 +42,6 @@ from .linalg import (
     psd_sqrt_inv,
     trace_norm,
     vec,
-    vec_inv,
 )
 from .projections import (
     project_cp,

@@ -19,14 +19,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, DomainError, LapackError
-from .linalg import hermitize, kron, partial_trace_in, partial_trace_out, vec
+from .linalg import hermitize, kron, partial_trace_out, vec
 
 #: CPTP acceptance tolerances: smallest admissible eigenvalue and largest
 #: admissible Frobenius distance of the output partial trace from identity.
 EPS_CP = 1e-8
 EPS_TP = 1e-6
 
-#: Default probability floor for the heralded conditioning step.
+#: Probability floor of the heralded conditioning step.
 EPS_COND = 1e-16
 
 
@@ -52,7 +52,11 @@ def identity_choi(d: int) -> np.ndarray:
 
 
 def apply_channel(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Act on a state: Tr_in[(rho^T (x) I) C]."""
+    """Act on a state: Tr_in[(rho^T (x) I) C].
+
+    The output entry (x, y) is sum_ab rho[b, a] C[(b, x), (a, y)], one
+    einsum on the (in, out, in', out') view of C.
+    """
     rho = np.asarray(rho)
     d = rho.shape[0]
     if rho.shape != (d, d):
@@ -60,7 +64,7 @@ def apply_channel(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     choi = np.asarray(choi)
     if choi.shape != (d * d, d * d):
         raise DimensionError(f"Choi shape {choi.shape} does not match d={d}")
-    return partial_trace_in(kron(rho.T, np.eye(d)) @ choi, d)
+    return np.einsum("ba,bxay->xy", rho, choi.reshape(d, d, d, d))
 
 
 def tp_distance(choi: np.ndarray, d: int | None = None) -> float:
@@ -79,10 +83,10 @@ def cptp_residuals(choi: np.ndarray, d: int | None = None) -> tuple[float, float
     return min_eig, tp_distance(choi, d)
 
 
-def is_cptp(choi: np.ndarray, eps_cp: float = EPS_CP, eps_tp: float = EPS_TP) -> bool:
-    """Check the CPTP invariants within the standard tolerances."""
+def is_cptp(choi: np.ndarray) -> bool:
+    """Check the CPTP invariants within ``EPS_CP`` and ``EPS_TP``."""
     min_eig, tp_dist = cptp_residuals(choi)
-    return min_eig >= -eps_cp and tp_dist <= eps_tp
+    return min_eig >= -EPS_CP and tp_dist <= EPS_TP
 
 
 class TomographySetup:
@@ -174,17 +178,15 @@ def forward_probs(choi: np.ndarray, setup: TomographySetup) -> np.ndarray:
     return (setup.prep_rows @ c_tilde @ setup.povm_rows.T).real.reshape(-1)
 
 
-def condition_probs(p: np.ndarray, eps_cond: float = EPS_COND) -> tuple[np.ndarray, bool]:
-    """Floor probabilities at eps_cond; herald whether anything was raised.
+def condition_probs(p: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Floor probabilities at ``EPS_COND``; herald whether anything was raised.
 
     The flag makes the stall fix a visible event rather than a silent data
     modification, so callers can warn the user.
     """
-    if eps_cond <= 0:
-        raise DomainError(f"eps_cond must be positive, got {eps_cond}")
     p = np.asarray(p, dtype=float)
-    heralded = bool((p < eps_cond).any())
-    return np.maximum(p, eps_cond), heralded
+    heralded = bool((p < EPS_COND).any())
+    return np.maximum(p, EPS_COND), heralded
 
 
 @dataclass
@@ -217,7 +219,8 @@ class CountsTable:
 
     @classmethod
     def from_raw(cls, counts: np.ndarray) -> "CountsTable":
-        counts = np.asarray(counts, dtype=float)
+        # Integer counts keep integer totals: 2^63 - 1 does not survive float.
+        counts = np.asarray(counts)
         totals = counts.sum(axis=1)
         if (totals <= 0).any():
             raise DomainError("every preparation needs at least one count")

@@ -98,10 +98,12 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--report", type=Path, default=None,
                      help="report path (default: <out>.report.json)")
     rec.add_argument("--setup", type=Path, default=None)
+    # Each tuning flag's dest is its config field; unset flags keep the
+    # config's default.
     rec.add_argument("--mu", type=float, default=None)
-    rec.add_argument("--gamma", type=float, default=0.3)
-    rec.add_argument("--ftol", type=float, default=1e-10)
-    rec.add_argument("--max-iters", type=int, default=None)
+    rec.add_argument("--gamma", type=float, default=None)
+    rec.add_argument("--ftol", dest="f_tol", type=float, default=None)
+    rec.add_argument("--max-iters", dest="max_outer_iterations", type=int, default=None)
 
     proj = sub.add_parser("project", help="project a matrix onto a constraint set")
     proj.add_argument("--in", dest="in_file", type=Path, required=True)
@@ -178,14 +180,16 @@ def _cmd_reconstruct(args) -> int:
               f"final cost {report.final_cost:.12g}")
         return exit_code
 
-    # Passed to the constructor, so that the config checks the cap too.
-    cap = {} if args.max_iters is None else {"max_outer_iterations": args.max_iters}
+    def config(cls):
+        """``cls`` built from the flags given; the config checks their values."""
+        given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)}
+        return cls(**{k: v for k, v in given.items() if v is not None})
+
     try:
         if args.method == "pgdb":
-            cfg = PgdbConfig(mu=args.mu, gamma=args.gamma, f_tol=args.ftol, **cap)
-            est, report = solve_pgdb(setup, counts, cfg)
+            est, report = solve_pgdb(setup, counts, config(PgdbConfig))
         elif args.method == "dia":
-            est, report = solve_dia(setup, counts, DiaConfig(f_tol=args.ftol, **cap))
+            est, report = solve_dia(setup, counts, config(DiaConfig))
         else:
             est, report = solve_lifp(setup, counts)
     except (ConvergenceError, StalledStepError) as err:
@@ -260,7 +264,7 @@ def _benchmark_trial(d: int, n_samples, trial: int, base_seed: int,
 
 def _cmd_benchmark(args) -> int:
     try:
-        d_list = [int(x) for x in args.d_list.split(",") if x]
+        d_list = [_positive_dim(x) for x in args.d_list.split(",") if x]
         n_list = [_samples(x) for x in args.n_list.split(",") if x]
     except (ValueError, argparse.ArgumentTypeError) as err:
         raise QptError(f"bad sweep list: {err}") from err
@@ -268,6 +272,9 @@ def _cmd_benchmark(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise QptError(f"unknown method {m!r}")
+    if args.trials < 1 or args.seed < 0:
+        raise QptError(f"need --trials >= 1 and --seed >= 0, got {args.trials} "
+                       f"and {args.seed}")
     rows = [
         row
         for d in d_list

@@ -21,6 +21,14 @@ from .channel import TomographySetup, CountsTable, forward_probs, is_cptp
 from .errors import DimensionError, DomainError, LapackError
 from .linalg import block_congruence, partial_trace_out, psd_sqrt_inv, trace_norm
 
+#: Largest sample size the multinomial sampler takes.
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -39,6 +47,7 @@ class EnsembleSpec:
             raise DomainError(f"Kraus rank must be at least 1, got {self.kraus_rank}")
         if self.kind not in ("full_rank", "quasi_pure"):
             raise DomainError(f"unknown ensemble kind {self.kind!r}")
+        _check_seed(self.rng_seed)
         if self.kind == "quasi_pure" and not (
             1.0 / self.d**2 < self.target_purity_sum <= 1.0
         ):
@@ -55,8 +64,11 @@ class SimulationSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples is not None and self.n_samples < 1:
-            raise DomainError(f"sample size must be at least 1, got {self.n_samples}")
+        if self.n_samples is not None and not 1 <= self.n_samples <= INT64_MAX:
+            raise DomainError(
+                f"sample size must lie in [1, {INT64_MAX}], got {self.n_samples}"
+            )
+        _check_seed(self.rng_seed)
 
 
 def _full_rank_choi(rng: np.random.Generator, d: int, kraus_rank: int) -> np.ndarray:

@@ -147,8 +147,10 @@ def load_counts(text: str) -> tuple[CountsTable, dict]:
         seed = None if header.get("seed", "none") == "none" else int(header["seed"])
     except (KeyError, ValueError) as err:
         raise DomainError(f"bad counts header: {err}") from err
-    if min(d, n_prep, n_povm) < 1:
-        raise DomainError("counts header: d, n_prep and n_povm must be positive")
+    if min(d, n_prep, n_povm, 1 if n_samples is None else n_samples) < 1:
+        raise DomainError("counts header: d, n_prep, n_povm and N must be positive")
+    if seed is not None and seed < 0:
+        raise DomainError(f"counts header: seed must be non-negative, got {seed}")
     if n_prep * n_povm > len(lines) - 3:
         raise DomainError(f"counts file has fewer than {n_prep * n_povm} rows")
     if lines[2].strip() != "i,j,n":

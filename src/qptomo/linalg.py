@@ -26,18 +26,6 @@ def vec(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, order="F")
 
 
-def vec_inv(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`: rebuild a ``rows x cols`` matrix."""
-    v = np.asarray(v).reshape(-1)
-    if cols is None:
-        if v.size % rows:
-            raise DimensionError(f"cannot split length {v.size} into {rows} rows")
-        cols = v.size // rows
-    if v.size != rows * cols:
-        raise DimensionError(f"length {v.size} != {rows})x({cols}")
-    return v.reshape((rows, cols), order="F")
-
-
 def hermitize(x: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (X + X^dagger) / 2."""
     return (x + x.conj().T) / 2

@@ -119,10 +119,7 @@ def project_tni(c: np.ndarray) -> np.ndarray:
 
 
 def _dykstra(
-    c: np.ndarray,
-    tol: float,
-    max_iterations: int,
-    eps_tp: float,
+    c: np.ndarray, tol: float, max_iterations: int
 ) -> tuple[np.ndarray, int, float]:
     """Core Dykstra loop; returns (matrix, iterations, stopping sum).
 
@@ -137,7 +134,7 @@ def _dykstra(
     eigenpairs and the update.
 
     The CP iterate x = P_+(A) and q = A - x are formed only once the TP
-    residual ||gap|| is within ``eps_tp``, since the stopping sum cannot
+    residual ||gap|| is within ``EPS_TP``, since the stopping sum cannot
     stop the loop before. The sum over successive corrections and iterates
     needs x and q of this and the two previous iterations, each formed at
     most once from the kept (A, w, v). Its TP terms reduce to d x d ones,
@@ -146,9 +143,7 @@ def _dykstra(
     carries P_+(A) of the last iteration and its TP residual.
     """
     d = round(c.shape[0] ** 0.5)
-    n = d * d
     eye = np.eye(d)
-    out_eye = eye[:, None, :]
     c = hermitize(np.asarray(c, dtype=complex))
     gap = eye - partial_trace_out(c, d)
     a = _add_out_identity(c, gap, d)
@@ -172,7 +167,7 @@ def _dykstra(
         gap_new = eye - _tr_out_positive(w, v, d)
         tp_res = float(np.vdot(gap_new, gap_new).real) ** 0.5
         kept = kept[-2:] + [[a, w, v, None]]
-        if k >= 1 and tp_res <= eps_tp:
+        if k >= 1 and tp_res <= EPS_TP:
             x, q = parts(0)
             _, q_prev = parts(1)
             _, q_prev2 = parts(2)
@@ -189,7 +184,7 @@ def _dykstra(
             if stop_sum <= tol:
                 return x, k + 1, stop_sum
         gap = gap_new
-        a = a + ((gap / d)[:, None, :, None] * out_eye).reshape(n, n)
+        a = _add_out_identity(a, gap, d)
     raise ConvergenceError(
         f"Dykstra projection did not converge in {max_iterations} iterations "
         f"(TP residual {tp_res:.3e}, last stopping sum {stop_sum:.3e})",
@@ -217,7 +212,7 @@ def project_cptp_dykstra(
     if max_iterations < 1:
         # The ConvergenceError of a capped run carries P_+ of its last iteration.
         raise DomainError(f"max_iterations must be at least 1, got {max_iterations}")
-    mat, _, _ = _dykstra(np.asarray(c, dtype=complex), tol, max_iterations, EPS_TP)
+    mat, _, _ = _dykstra(np.asarray(c, dtype=complex), tol, max_iterations)
     return mat
 
 

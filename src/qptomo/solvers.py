@@ -34,6 +34,12 @@ from .linalg import (
 from .projections import _project_cptp_dual
 
 
+#: Smallest Armijo step of pgdB and smallest dilution of DIA before the
+#: solver reports a stalled step.
+MIN_ALPHA = 1e-12
+MIN_EPSILON = 1e-12
+
+
 def _check_positive(name: str, value: float) -> None:
     """Reject a solver parameter that is not a finite positive number."""
     if not 0 < value < math.inf:
@@ -59,9 +65,7 @@ class PgdbConfig:
     mu: float | None = None
     gamma: float = 0.3
     f_tol: float = 1e-10
-    eps_cond: float = EPS_COND
     max_outer_iterations: int = 5000
-    min_alpha: float = 1e-12
 
     def __post_init__(self):
         if self.mu is not None:
@@ -69,8 +73,6 @@ class PgdbConfig:
         if not 0.0 < self.gamma < 1.0:
             raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}")
         _check_positive("f_tol", self.f_tol)
-        _check_positive("eps_cond", self.eps_cond)
-        _check_positive("min_alpha", self.min_alpha)
         _check_cap(self.max_outer_iterations)
 
 
@@ -80,14 +82,10 @@ class DiaConfig:
 
     f_tol: float = 1e-10
     max_outer_iterations: int = 20000
-    min_epsilon: float = 1e-12
-    eps_cond: float = EPS_COND
 
     def __post_init__(self):
         _check_positive("f_tol", self.f_tol)
         _check_cap(self.max_outer_iterations)
-        _check_positive("min_epsilon", self.min_epsilon)
-        _check_positive("eps_cond", self.eps_cond)
 
 
 @dataclass
@@ -120,16 +118,14 @@ class _Cost:
 
     The one implementation of the multinomial cost f(C) = -sum_ij n_ij ln p_ij
     and its Frobenius gradient -A^dagger (n / p), both on probabilities
-    floored at ``eps_cond`` so the pair stays consistent for line searches
+    floored at ``EPS_COND`` so the pair stays consistent for line searches
     and finite differences.
     """
 
-    def __init__(self, setup: TomographySetup, counts: CountsTable, eps_cond: float):
+    def __init__(self, setup: TomographySetup, counts: CountsTable):
         _check_counts(setup, counts)
-        _check_positive("eps_cond", eps_cond)
         self.setup = setup
         self.n_flat = counts.flat
-        self.eps_cond = eps_cond
         self.heralded = False
         self.min_prob = np.inf
 
@@ -139,9 +135,9 @@ class _Cost:
     def _condition(self, p: np.ndarray) -> np.ndarray:
         p_min = float(p.min())
         self.min_prob = min(self.min_prob, p_min)
-        if p_min >= self.eps_cond:
+        if p_min >= EPS_COND:
             return p
-        cond, raised = condition_probs(p, self.eps_cond)
+        cond, raised = condition_probs(p)
         self.heralded |= raised
         return cond
 
@@ -166,26 +162,20 @@ class _Cost:
 
 
 def neg_log_likelihood(
-    choi: np.ndarray,
-    setup: TomographySetup,
-    counts: CountsTable,
-    eps_cond: float = EPS_COND,
+    choi: np.ndarray, setup: TomographySetup, counts: CountsTable
 ) -> float:
     """Multinomial cost f(C) = -sum_ij n_ij ln p_ij with conditioned p."""
-    return _Cost(setup, counts, eps_cond)(choi)
+    return _Cost(setup, counts)(choi)
 
 
 def gradient(
-    choi: np.ndarray,
-    setup: TomographySetup,
-    counts: CountsTable,
-    eps_cond: float = EPS_COND,
+    choi: np.ndarray, setup: TomographySetup, counts: CountsTable
 ) -> np.ndarray:
     """Frobenius gradient of the cost, the Hermitian matrix -A^dagger eta.
 
     eta_ij = n_ij / p_ij with the same conditioning floor as the cost.
     """
-    cost = _Cost(setup, counts, eps_cond)
+    cost = _Cost(setup, counts)
     return cost.gradient_from_probs(cost.probs(choi))
 
 
@@ -258,7 +248,7 @@ def solve_pgdb(
     """
     cfg = config or PgdbConfig()
     mu = cfg.mu if cfg.mu is not None else 3.0 / (2.0 * setup.d**2)
-    cost = _Cost(setup, counts, cfg.eps_cond)
+    cost = _Cost(setup, counts)
     report = SolverReport(method="pgdb")
     y = None
 
@@ -280,10 +270,8 @@ def solve_pgdb(
         alpha = 1.0
         while cost.from_probs(p_c + alpha * p_dir) > f_c + cfg.gamma * alpha * slope:
             alpha *= 0.5
-            if alpha < cfg.min_alpha:
-                raise StalledStepError(
-                    f"no acceptable step above alpha={cfg.min_alpha:g}"
-                )
+            if alpha < MIN_ALPHA:
+                raise StalledStepError(f"no acceptable step above alpha={MIN_ALPHA:g}")
         c = hermitize(c + alpha * direction)
         p_c = cost.probs(c)
         return c, p_c, cost.from_probs(p_c), alpha
@@ -312,7 +300,7 @@ def solve_dia(
     is reset to 1 each outer iteration and halved until the cost decreases.
     """
     cfg = config or DiaConfig()
-    cost = _Cost(setup, counts, cfg.eps_cond)
+    cost = _Cost(setup, counts)
 
     def step(c, p_c, f_c):
         g = -cost.gradient_from_probs(p_c)
@@ -324,10 +312,8 @@ def solve_dia(
             if f_new <= f_c:
                 return c_new, p_new, f_new, epsilon
             epsilon *= 0.5
-            if epsilon < cfg.min_epsilon:
-                raise StalledStepError(
-                    f"no cost decrease above epsilon={cfg.min_epsilon:g}"
-                )
+            if epsilon < MIN_EPSILON:
+                raise StalledStepError(f"no cost decrease above epsilon={MIN_EPSILON:g}")
 
     return _descend(cost, SolverReport(method="dia"), cfg, step)
 
@@ -379,7 +365,7 @@ def solve_lifp(
     raw = solve_linear_inversion(setup, counts)
     min_eig, tp_dist = cptp_residuals(raw, setup.d)
     estimate, _, steps = _project_cptp_dual(raw)
-    cost = _Cost(setup, counts, EPS_COND)
+    cost = _Cost(setup, counts)
     report = SolverReport(method="lifp", status="converged")
     report.cost_trace.append(cost(estimate))
     report.projection_steps.append(steps)

@@ -1,5 +1,7 @@
 """Reference implementations that exist only to check the package.
 
+* ``vec_inv``: the inverse of column-stacking ``vec``, which the dense
+  references use to read a vectorized Choi operator back as a matrix.
 * ``m_operator`` and ``project_tp_m_form``: the TP / US_p projection in its
   vectorized form through the sparse trace-out operator M, checked against
   the closed form the package uses.
@@ -23,6 +25,7 @@ import scipy.sparse
 
 from qptomo import (
     ConvergenceError,
+    DimensionError,
     SingularMatrixError,
     DomainError,
     build_design,
@@ -33,11 +36,22 @@ from qptomo import (
     project_tp,
     psd_sqrt_inv,
     vec,
-    vec_inv,
 )
-from qptomo.channel import EPS_COND, EPS_CP, EPS_TP, tp_distance
+from qptomo.channel import EPS_CP, EPS_TP, tp_distance
 from qptomo.projections import MAX_INNER_ITERATIONS
 from qptomo.solvers import _Cost
+
+
+def vec_inv(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
+    """Inverse of :func:`vec`: rebuild a ``rows x cols`` matrix."""
+    v = np.asarray(v).reshape(-1)
+    if cols is None:
+        if v.size % rows:
+            raise DimensionError(f"cannot split length {v.size} into {rows} rows")
+        cols = v.size // rows
+    if v.size != rows * cols:
+        raise DimensionError(f"length {v.size} != {rows})x({cols}")
+    return v.reshape((rows, cols), order="F")
 
 
 def m_operator(d: int) -> scipy.sparse.csr_matrix:
@@ -124,7 +138,7 @@ def dia_trials_kron(setup, counts, iterations: int) -> list:
     The loop of ``solve_dia`` from the maximally mixed start, without its
     stopping rule, built on :func:`dia_update_kron`.
     """
-    cost = _Cost(setup, counts, EPS_COND)
+    cost = _Cost(setup, counts)
     c = np.eye(setup.d**2, dtype=complex) / setup.d
     p_c = cost.probs(c)
     f_c = cost.from_probs(p_c)

@@ -1,6 +1,8 @@
 """Command-line interface: file formats, exit codes, determinism."""
 
+import dataclasses
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -22,7 +24,8 @@ from qptomo import (
     simulate_counts,
     SimulationSpec,
 )
-from qptomo.cli import main
+from qptomo.cli import _build_parser, main
+from qptomo.solvers import DiaConfig, PgdbConfig, solve_dia, solve_pgdb
 
 C_BOX = np.diag([0.1, 0.1, 0.1, 1.7]).astype(complex)
 
@@ -126,9 +129,12 @@ class TestCountsFileFormat:
         ("d=2 n_prep=100000 n_povm=100000 N=10 seed=0", ["0,0,1.0"]),
         ("d=2 n_prep=1 n_povm=2 N=10 seed=0", ["0,0,nan", "0,1,0.5"]),
         ("d=2 n_prep=1 n_povm=2 N=10 seed=0", ["0,0,inf", "0,1,-inf"]),
+        ("d=2 n_prep=1 n_povm=2 N=-5 seed=0", ["0,0,0.5", "0,1,0.5"]),
+        ("d=2 n_prep=1 n_povm=2 N=0 seed=0", ["0,0,0.5", "0,1,0.5"]),
+        ("d=2 n_prep=1 n_povm=2 N=10 seed=-2", ["0,0,0.5", "0,1,0.5"]),
     ], ids=["no_N", "bad_N", "no_preparations", "negative_index", "index_past_end",
             "duplicate_row", "missing_row", "missing_row_blank_line", "huge_header",
-            "nan", "inf"])
+            "nan", "inf", "negative_N", "zero_N", "negative_seed"])
     def test_rejects_malformed_file(self, header, rows):
         text = "\n".join(["# counts-v1", f"# {header}", "i,j,n", *rows]) + "\n"
         with pytest.raises(DomainError):
@@ -334,12 +340,87 @@ class TestReconstruct:
         assert err.startswith("error:") and "Traceback" not in err
         assert not est.exists()
 
+    @pytest.mark.parametrize("header", ["N=-5 seed=0", "N=0 seed=0", "N=inf seed=-2"])
+    def test_bad_counts_header_exits_1(self, tmp_path, counts_inf, capsys, header):
+        _, counts = counts_inf
+        bad = tmp_path / "counts.txt"
+        bad.write_text(counts.read_text().replace("N=inf seed=0", header))
+        est = tmp_path / "est.json"
+        assert run("reconstruct", "--counts", bad, "--method", "lifp",
+                   "--out", est) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not est.exists()
+
+    @pytest.mark.parametrize("method, options, config", [
+        ("pgdb", (), PgdbConfig()),
+        ("dia", (), DiaConfig()),
+        ("pgdb", ("--gamma", 0.9), PgdbConfig(gamma=0.9)),
+        ("pgdb", ("--ftol", 1e-3), PgdbConfig(f_tol=1e-3)),
+        ("dia", ("--ftol", 1e-3), DiaConfig(f_tol=1e-3)),
+        ("dia", ("--mu", 5, "--gamma", 0.9), DiaConfig()),
+    ], ids=["pgdb", "dia", "pgdb-gamma", "pgdb-ftol", "dia-ftol", "dia-ignores-mu-gamma"])
+    def test_flags_build_the_config(self, tmp_path, counts_inf, method, options,
+                                    config):
+        # With no flag the CLI runs the config defaults; a flag reaches its field.
+        _, counts = counts_inf
+        est = tmp_path / "est.json"
+        assert run("reconstruct", "--counts", counts, "--method", method, *options,
+                   "--out", est) == 0
+        table, info = qio.load_counts(counts.read_text())
+        setup = minimal_setup(info["d"])
+        solve = {"pgdb": solve_pgdb, "dia": solve_dia}[method]
+        ref, ref_report = solve(setup, table, config)
+        meta = {"method": method, "status": ref_report.status}
+        assert est.read_text() == qio.dump_choi(ref, info["d"], meta)
+        report = json.loads((tmp_path / "est.json.report.json").read_text())
+        assert report["cost_trace"] == ref_report.cost_trace.tolist()
+        if config != type(config)():
+            # The flag changes the run: f_tol 1e-3 stops earlier, and gamma
+            # 0.9 backtracks to shorter steps, so more of them.
+            _, default = solve(setup, table)
+            expected = operator.lt if "--ftol" in options else operator.gt
+            assert expected(ref_report.iterations, default.iterations)
+
     def test_unknown_method_is_usage_error(self, tmp_path, counts_inf):
         _, counts = counts_inf
         with pytest.raises(SystemExit) as excinfo:
             run("reconstruct", "--counts", counts, "--method", "magic",
                 "--out", tmp_path / "x.json")
         assert excinfo.value.code == 2
+
+
+def test_every_config_field_has_a_reconstruct_flag():
+    # A solver setting that no flag sets has no caller outside the tests.
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    flags = {a.dest for a in commands["reconstruct"]._actions}
+    for config in (PgdbConfig, DiaConfig):
+        names = {f.name for f in dataclasses.fields(config)}
+        assert sorted(names - flags) == [], config.__name__
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-map", "--d", 2, "--kind", "full", "--seed", -1),
+    ("gen-map", "--d", 2, "--kind", "quasipure", "--seed", -1),
+    ("simulate", "--map", "MAP", "--N", 10, "--seed", -3),
+    ("simulate", "--map", "MAP", "--N", "inf", "--seed", -3),
+    ("simulate", "--map", "MAP", "--N", 10**20),
+    ("benchmark", "--d-list", 2, "--N-list", "inf", "--seed", -1),
+    ("benchmark", "--d-list", 2, "--N-list", "inf", "--trials", -1),
+    ("benchmark", "--d-list", 2, "--N-list", "inf", "--trials", 0),
+    ("benchmark", "--d-list", -2, "--N-list", "inf"),
+], ids=["gen-map-full-seed", "gen-map-quasipure-seed", "simulate-seed",
+        "simulate-inf-seed", "simulate-huge-N", "benchmark-seed",
+        "benchmark-negative-trials", "benchmark-zero-trials", "benchmark-negative-d"])
+def test_bad_input_exits_1(tmp_path, counts_inf, capsys, argv):
+    mapfile, _ = counts_inf
+    out = tmp_path / "out"
+    argv = [mapfile if a == "MAP" else a for a in argv]
+    assert run(*argv, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
 
 
 class TestProject:

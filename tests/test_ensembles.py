@@ -159,6 +159,12 @@ class TestSimulateCounts:
         with pytest.raises(DomainError):
             SimulationSpec(0)
 
+    def test_largest_sample_size_keeps_its_totals(self, setup2):
+        n = int(np.iinfo(np.int64).max)
+        c = random_cptp(EnsembleSpec(d=2, kraus_rank=4, rng_seed=7))
+        counts = simulate_counts(c, setup2, SimulationSpec(n, rng_seed=7))
+        assert np.array_equal(counts.raw_totals, [n] * 4)
+
 
 class TestJDistance:
     def test_zero_on_equal(self):

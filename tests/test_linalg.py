@@ -20,12 +20,12 @@ from qptomo import (
     psd_sqrt_inv,
     trace_norm,
     vec,
-    vec_inv,
 )
 from qptomo.linalg import block_congruence
 from qptomo.projections import _project_cptp_dual
 from qptomo.solvers import solve_linear_inversion
 from conftest import random_hermitian
+from reference import vec_inv
 
 RNG = np.random.default_rng(11)
 

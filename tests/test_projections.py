@@ -299,8 +299,7 @@ class TestDykstra:
             formed.clear()
             residuals.clear()
             _, iterations, _ = _dykstra(
-                random_hermitian(rng, d * d, scale=float(d)), 1e-4,
-                MAX_INNER_ITERATIONS, EPS_TP,
+                random_hermitian(rng, d * d, scale=float(d)), 1e-4, MAX_INNER_ITERATIONS
             )
             assert len(residuals) == iterations
             passing = sum(1 for res in residuals[1:] if res <= EPS_TP)
@@ -320,7 +319,7 @@ class TestDykstraAgainstTextbook:
 
     @staticmethod
     def assert_same_run(c, tol):
-        mat, iterations, stop_sum = _dykstra(c, tol, MAX_INNER_ITERATIONS, EPS_TP)
+        mat, iterations, stop_sum = _dykstra(c, tol, MAX_INNER_ITERATIONS)
         ref_mat, ref_iterations, ref_stop_sum = dykstra_textbook(c, tol)
         assert iterations == ref_iterations
         assert np.abs(mat - ref_mat).max() < 1e-12
