@@ -37,7 +37,6 @@ from .linalg import (
     frobenius_inner,
     hermitize,
     kron,
-    partial_trace_in,
     partial_trace_out,
     psd_sqrt_inv,
     trace_norm,

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, DomainError, LapackError
-from .linalg import hermitize, kron, partial_trace_out, vec
+from .linalg import eigvalsh, hermitize, kron, partial_trace_out, vec
 
 #: CPTP acceptance tolerances: smallest admissible eigenvalue and largest
 #: admissible Frobenius distance of the output partial trace from identity.
@@ -75,12 +75,7 @@ def tp_distance(choi: np.ndarray, d: int | None = None) -> float:
 
 def cptp_residuals(choi: np.ndarray, d: int | None = None) -> tuple[float, float]:
     """(min eigenvalue, Frobenius distance of Tr_out to identity)."""
-    choi = np.asarray(choi)
-    try:
-        min_eig = float(np.linalg.eigvalsh(hermitize(choi)).min())
-    except np.linalg.LinAlgError as err:
-        raise LapackError(f"eigenvalue computation failed: {err}") from err
-    return min_eig, tp_distance(choi, d)
+    return float(eigvalsh(choi).min()), tp_distance(choi, d)
 
 
 def is_cptp(choi: np.ndarray) -> bool:
@@ -111,11 +106,7 @@ class TomographySetup:
         for i, rho in enumerate(self.preparations):
             if np.abs(rho - rho.conj().T).max() > 1e-10:
                 raise DomainError(f"preparation {i} is not Hermitian")
-            try:
-                min_eig = np.linalg.eigvalsh(hermitize(rho)).min()
-            except np.linalg.LinAlgError as err:
-                raise LapackError(f"eigenvalue computation failed: {err}") from err
-            if min_eig < -1e-10:
+            if eigvalsh(rho).min() < -1e-10:
                 raise DomainError(f"preparation {i} is not positive semidefinite")
             if abs(np.trace(rho) - 1.0) > 1e-10:
                 raise DomainError(f"preparation {i} does not have unit trace")
@@ -140,6 +131,22 @@ class TomographySetup:
     def povm_rows(self) -> np.ndarray:
         """F[j, (x, y)] = E_j[y, x]: one row-major transposed element per row."""
         return np.stack([e.T for e in self.povm]).reshape(self.n_povm, -1)
+
+    @cached_property
+    def inversion_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pinv(R), pinv(F)^T), the two factors of linear inversion.
+
+        Singular values at or below eps max(shape) times the largest are
+        cut, the cutoff of ``lstsq(rcond=None)``. Computed on first use and
+        kept, so every inversion on this setup is two matmuls.
+        """
+        def pinv(m):
+            return np.linalg.pinv(m, rcond=np.finfo(float).eps * max(m.shape))
+
+        try:
+            return pinv(self.prep_rows), pinv(self.povm_rows).T
+        except np.linalg.LinAlgError as err:
+            raise LapackError(f"pseudo-inverse failed: {err}") from err
 
 
 def build_design(setup: TomographySetup) -> np.ndarray:

@@ -220,8 +220,9 @@ def _cmd_project(args) -> int:
     return 0
 
 
-def _benchmark_trial(d: int, n_samples, trial: int, base_seed: int,
+def _benchmark_trial(setup, n_samples, trial: int, base_seed: int,
                      methods: list[str], timings: bool) -> list[str]:
+    d = setup.d
     n_key = 0 if n_samples is None else int(n_samples)
     seq = np.random.SeedSequence([base_seed, d, n_key, trial])
     map_seed, counts_seed = (int(s) for s in seq.generate_state(2, dtype=np.uint64))
@@ -235,7 +236,6 @@ def _benchmark_trial(d: int, n_samples, trial: int, base_seed: int,
             d, n_samples, method, trial, map_seed,
             None, None, None, None, None, status)
 
-    setup = minimal_setup(d)
     try:
         truth = random_quasi_pure(
             EnsembleSpec(d=d, kraus_rank=1, kind="quasi_pure", rng_seed=map_seed)
@@ -275,12 +275,13 @@ def _cmd_benchmark(args) -> int:
     if args.trials < 1 or args.seed < 0:
         raise QptError(f"need --trials >= 1 and --seed >= 0, got {args.trials} "
                        f"and {args.seed}")
+    # One setup per dimension, so its cached pseudo-inverses serve every trial.
     rows = [
         row
-        for d in d_list
+        for setup in map(minimal_setup, d_list)
         for n in n_list
         for trial in range(args.trials)
-        for row in _benchmark_trial(d, n, trial, args.seed, methods, args.timings)
+        for row in _benchmark_trial(setup, n, trial, args.seed, methods, args.timings)
     ]
     args.out.write_text(io.dump_benchmark(rows))
     ok = sum(1 for row in rows if row.endswith(",ok"))
@@ -299,11 +300,11 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except QptError as err:
+    except (QptError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 1
 
 

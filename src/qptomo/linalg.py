@@ -48,12 +48,6 @@ def partial_trace_out(c: np.ndarray, d: int | None = None) -> np.ndarray:
     return np.einsum("ikjk->ij", np.asarray(c).reshape(d, d, d, d))
 
 
-def partial_trace_in(c: np.ndarray, d: int | None = None) -> np.ndarray:
-    """Trace out the first (input) tensor factor of a d^2 x d^2 operator."""
-    d = _square_factor(c, d)
-    return np.einsum("kikj->ij", np.asarray(c).reshape(d, d, d, d))
-
-
 def eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a (nearly) Hermitian matrix.
 
@@ -68,6 +62,14 @@ def eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(hermitize(x))
     except np.linalg.LinAlgError as err:
         raise LapackError(f"eigendecomposition failed: {err}") from err
+
+
+def eigvalsh(x: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of ``x``."""
+    try:
+        return np.linalg.eigvalsh(hermitize(np.asarray(x)))
+    except np.linalg.LinAlgError as err:
+        raise LapackError(f"eigenvalue computation failed: {err}") from err
 
 
 def trace_norm(x: np.ndarray) -> float:

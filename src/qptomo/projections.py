@@ -266,6 +266,21 @@ def _newton_direction(
     return hermitize(step.reshape(d, d))
 
 
+def _scalar_multiplier(w: np.ndarray, d: int) -> float:
+    """The alpha for which -alpha I minimizes the dual theta over multiples of I.
+
+    ``w`` holds the eigenvalues of C, in any order. On those multipliers
+    theta(-alpha I) = 1/2 sum_i max(w_i - alpha, 0)^2 + d alpha, which is
+    convex in alpha and stationary where sum_i max(w_i - alpha, 0) = d. With
+    w sorted descending and s_k the sum of its k largest entries, alpha is
+    (s_k - d) / k for the largest k with w_k > (s_k - d) / k, the scan of a
+    projection onto the simplex. A CPTP input gives alpha = 0 to rounding.
+    """
+    w = np.sort(w)[::-1]
+    alphas = (np.cumsum(w) - d) / np.arange(1, len(w) + 1)
+    return float(alphas[np.flatnonzero(w > alphas)[-1]])
+
+
 def _project_cptp_dual(
     c: np.ndarray, y0: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -273,10 +288,12 @@ def _project_cptp_dual(
 
     Minimizes the dual function theta(Y) = 1/2 ||P_+(C + Y (x) I)||^2 - Tr Y,
     whose gradient is Tr_out P_+(C + Y (x) I) - I, over Hermitian d x d
-    multipliers Y, starting from ``y0`` (zero when None). A Newton step is
-    accepted when it halves the TP residual or, failing that, passes the
-    Armijo test on theta; near the solution the decrease of theta falls
-    below its rounding, so the residual test is the one that finishes.
+    multipliers Y, starting from ``y0`` (zero when None; a cold caller that
+    has the eigenvalues of C can start at :func:`_scalar_multiplier`'s
+    -alpha I). A Newton step is accepted when it halves the TP residual or,
+    failing that, passes the Armijo test on theta; near the solution the
+    decrease of theta falls below its rounding, so the residual test is the
+    one that finishes.
     A trial point costs one eigendecomposition: the residual comes from
     the eigenpairs, and P_+(C + Y (x) I) is formed only for the result or
     the error.

@@ -20,18 +20,19 @@ from .channel import (
     TomographySetup,
     _check_counts,
     condition_probs,
-    cptp_residuals,
     forward_probs,
+    tp_distance,
 )
-from .errors import ConvergenceError, DomainError, LapackError, StalledStepError
+from .errors import ConvergenceError, DomainError, StalledStepError
 from .linalg import (
     block_congruence,
+    eigvalsh,
     frobenius_inner,
     hermitize,
     partial_trace_out,
     psd_sqrt_inv,
 )
-from .projections import _project_cptp_dual
+from .projections import _project_cptp_dual, _scalar_multiplier
 
 
 #: Smallest Armijo step of pgdB and smallest dilution of DIA before the
@@ -337,19 +338,17 @@ def solve_linear_inversion(
     Solves A vec(C) = n in the minimum-norm least-squares sense and
     Hermitizes the result. The design A is R (x) F up to a fixed reshuffle
     of vec(C), and pinv(R (x) F) = pinv(R) (x) pinv(F), so the solution is
-    C~ = pinv(R) N pinv(F)^T from two small least-squares solves (stable
-    factorizations, no explicit pseudo-inverse and no design matrix). The
-    estimate is generally unphysical for noisy data.
+    C~ = pinv(R) N pinv(F)^T: two small matmuls with the pseudo-inverses the
+    setup computes once (``TomographySetup.inversion_factors``), and no
+    design matrix. The estimate is generally unphysical for noisy data.
     """
     _check_counts(setup, counts)
     d = setup.d
-    try:
-        y, *_ = np.linalg.lstsq(setup.prep_rows, counts.n.astype(complex), rcond=None)
-        x, *_ = np.linalg.lstsq(setup.povm_rows, y.T, rcond=None)
-    except np.linalg.LinAlgError as err:
-        raise LapackError(f"least-squares solve failed: {err}") from err
-    # x^T is C~[(a, b), (x, y)] = C[(a, x), (b, y)]; swapping b and x undoes it.
-    return hermitize(x.T.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d))
+    pinv_r, pinv_ft = setup.inversion_factors
+    c_tilde = pinv_r @ counts.n @ pinv_ft
+    # C~[(a, b), (x, y)] = C[(a, x), (b, y)]; swapping b and x undoes it.
+    c = c_tilde.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return hermitize(c)
 
 
 def solve_lifp(
@@ -359,18 +358,21 @@ def solve_lifp(
 
     The report records how unphysical the raw inversion was (minimum
     eigenvalue and distance to the TP set) before the projection repaired
-    it.
+    it. The same eigenvalues start the projection at the best multiple of
+    the identity, -alpha I (:func:`_scalar_multiplier`), instead of zero.
     """
     start = time.perf_counter()
     raw = solve_linear_inversion(setup, counts)
-    min_eig, tp_dist = cptp_residuals(raw, setup.d)
-    estimate, _, steps = _project_cptp_dual(raw)
+    d = setup.d
+    w = eigvalsh(raw)
+    y0 = -_scalar_multiplier(w, d) * np.eye(d)
+    estimate, _, steps = _project_cptp_dual(raw, y0)
     cost = _Cost(setup, counts)
     report = SolverReport(method="lifp", status="converged")
     report.cost_trace.append(cost(estimate))
     report.projection_steps.append(steps)
-    report.pre_projection_min_eigenvalue = min_eig
-    report.pre_projection_tp_distance = tp_dist
+    report.pre_projection_min_eigenvalue = float(w[0])
+    report.pre_projection_tp_distance = tp_distance(raw, d)
     _finish(report, start, cost)
     report.iterations = steps
     return estimate, report

@@ -2,6 +2,8 @@
 
 * ``vec_inv``: the inverse of column-stacking ``vec``, which the dense
   references use to read a vectorized Choi operator back as a matrix.
+* ``partial_trace_in``: the trace over the input factor, checked against
+  ``partial_trace_out``; the package itself only traces out the output.
 * ``m_operator`` and ``project_tp_m_form``: the TP / US_p projection in its
   vectorized form through the sparse trace-out operator M, checked against
   the closed form the package uses.
@@ -38,6 +40,7 @@ from qptomo import (
     vec,
 )
 from qptomo.channel import EPS_CP, EPS_TP, tp_distance
+from qptomo.linalg import _square_factor
 from qptomo.projections import MAX_INNER_ITERATIONS
 from qptomo.solvers import _Cost
 
@@ -52,6 +55,12 @@ def vec_inv(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
     if v.size != rows * cols:
         raise DimensionError(f"length {v.size} != {rows})x({cols}")
     return v.reshape((rows, cols), order="F")
+
+
+def partial_trace_in(c: np.ndarray, d: int | None = None) -> np.ndarray:
+    """Trace out the first (input) tensor factor of a d^2 x d^2 operator."""
+    d = _square_factor(c, d)
+    return np.einsum("kikj->ij", np.asarray(c).reshape(d, d, d, d))
 
 
 def m_operator(d: int) -> scipy.sparse.csr_matrix:

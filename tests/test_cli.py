@@ -509,6 +509,18 @@ class TestBenchmark:
         assert [r[2] for r in rows] == ["pgdb", "dia", "lifp"]
         assert all(r[10] == "error" for r in rows)
 
+    def test_one_setup_per_dimension(self, tmp_path, monkeypatch):
+        built = []
+
+        def recording(d):
+            built.append(d)
+            return minimal_setup(d)
+
+        monkeypatch.setattr(qptomo.cli, "minimal_setup", recording)
+        assert run("benchmark", "--d-list", "2,3", "--N-list", "1000,inf",
+                   "--trials", 2, "--out", tmp_path / "sweep.csv") == 0
+        assert built == [2, 3]
+
     def test_unknown_method_is_data_error(self, tmp_path):
         assert run("benchmark", "--d-list", "2", "--N-list", "10",
                    "--methods", "sorcery", "--out", tmp_path / "x.csv") == 1
@@ -522,3 +534,21 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_out_of_memory_exits_1(tmp_path):
+    # The child caps its own address space at 1 GiB before numpy loads, so
+    # the d^2 x d^2 draw fails at once without touching the machine's memory.
+    env = dict(os.environ, PYTHONPATH=str(Path(qptomo.__file__).parent.parent),
+               OPENBLAS_NUM_THREADS="1")
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from qptomo.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["gen-map", "--d", "1000", "--kind", "full", "--out", str(tmp_path / "m.json")]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

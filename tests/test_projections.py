@@ -30,6 +30,7 @@ from qptomo.projections import (
     _newton_direction,
     _newton_jacobian,
     _project_cptp_dual,
+    _scalar_multiplier,
 )
 from conftest import cptp_pool, random_hermitian
 from reference import (
@@ -386,6 +387,46 @@ class TestDualNewton:
             _project_cptp_dual(C_BOX)
         assert excinfo.value.last_iterate is not None
         assert excinfo.value.residual > projections.NEWTON_TOL
+
+
+class TestScalarMultiplier:
+    """The cold start -alpha I, the best multiple of the identity for theta."""
+
+    @staticmethod
+    def cases(d):
+        rng = np.random.default_rng(760 + d)
+        n = d * d
+        h = random_hermitian(rng, n, scale=float(d))
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        return {
+            "mixed": h,
+            "negative definite": -(h @ h) - 0.1 * np.eye(n),
+            "rank one": 3.0 * np.outer(v, v.conj()) / np.vdot(v, v).real,
+            "cptp": cptp_pool(d, 1, seed=7600 + d)[0],
+            "unitary channel": choi_from_kraus([random_unitary(rng, d)]),
+        }
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_positive_parts_sum_to_d(self, d):
+        eye = np.eye(d * d)
+        for c in self.cases(d).values():
+            w = np.linalg.eigvalsh(c)
+            alpha = _scalar_multiplier(w[::-1], d)
+            shifted = np.linalg.eigvalsh(c - alpha * eye)
+            assert abs(np.maximum(shifted, 0.0).sum() - d) < 1e-12
+            # Stationary on the identity line: theta rises on either side.
+            theta = [0.5 * np.sum(np.maximum(w - a, 0.0) ** 2) + d * a
+                     for a in (alpha - 1e-3, alpha, alpha + 1e-3)]
+            assert theta[1] <= min(theta[0], theta[2])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_cptp_input_starts_at_the_solution(self, d):
+        for label in ("cptp", "unitary channel"):
+            c = self.cases(d)[label]
+            alpha = _scalar_multiplier(np.linalg.eigvalsh(c), d)
+            assert abs(alpha) < 1e-12
+            out, _, steps = _project_cptp_dual(c, -alpha * np.eye(d))
+            assert steps == 0 and np.abs(out - c).max() < 1e-12
 
 
 def jacobian_cases(d):

@@ -403,6 +403,46 @@ class TestLifp:
         _, rep_p = solve_pgdb(setup2, counts)
         assert rep_l.final_cost >= rep_p.final_cost - 1e-9
 
+    @staticmethod
+    def noisy_inputs(d, count):
+        setup = minimal_setup(d)
+        for seed in range(count):
+            truth = quasi_pure(d, seed)
+            yield setup, simulate_counts(truth, setup, SimulationSpec(1000, 50 + seed))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_the_zero_start_projection(self, d):
+        for setup, counts in self.noisy_inputs(d, 3):
+            zero_start, _, _ = solvers._project_cptp_dual(
+                solve_linear_inversion(setup, counts))
+            est, _ = solve_lifp(setup, counts)
+            assert np.abs(est - zero_start).max() < 1e-10
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_scalar_start_saves_newton_steps(self, d):
+        zero_start = scalar_start = 0
+        for setup, counts in self.noisy_inputs(d, 10):
+            raw = solve_linear_inversion(setup, counts)
+            zero_start += solvers._project_cptp_dual(raw)[2]
+            scalar_start += solve_lifp(setup, counts)[1].iterations
+        assert scalar_start < zero_start
+
+    def test_pseudo_inverses_computed_once(self, setup2, monkeypatch):
+        calls = []
+        pinv = np.linalg.pinv
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return pinv(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counting)
+        setup = TomographySetup(setup2.preparations, setup2.povm)
+        counts = simulate_counts(quasi_pure(2, 18), setup, SimulationSpec(1000, 18))
+        first, _ = solve_lifp(setup, counts)
+        second, _ = solve_lifp(setup, counts)
+        assert calls == [setup.prep_rows.shape, setup.povm_rows.shape]
+        assert np.array_equal(first, second)
+
     def test_sacrifices_accuracy_on_noisy_d4_data(self):
         # Median over 20 matched noisy datasets: the projected inversion is
         # not the ML solution and cannot beat it.
