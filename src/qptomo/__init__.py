@@ -15,7 +15,6 @@ from .channel import (
 from .ensembles import (
     EnsembleSpec,
     SimulationSpec,
-    design_condition_number,
     j_distance,
     minimal_setup,
     quasi_pure_weights,

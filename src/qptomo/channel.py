@@ -67,15 +67,16 @@ def apply_channel(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.einsum("ba,bxay->xy", rho, choi.reshape(d, d, d, d))
 
 
-def tp_distance(choi: np.ndarray, d: int | None = None) -> float:
+def tp_distance(choi: np.ndarray) -> float:
     """Frobenius distance of Tr_out(C) from the identity."""
-    tr_out = partial_trace_out(choi, d)
+    tr_out = partial_trace_out(choi)
     return float(np.linalg.norm(tr_out - np.eye(tr_out.shape[0])))
 
 
-def cptp_residuals(choi: np.ndarray, d: int | None = None) -> tuple[float, float]:
+def cptp_residuals(choi: np.ndarray) -> tuple[float, float]:
     """(min eigenvalue, Frobenius distance of Tr_out to identity)."""
-    return float(eigvalsh(choi).min()), tp_distance(choi, d)
+    tp_dist = tp_distance(choi)  # checks the shape before LAPACK sees it
+    return float(eigvalsh(choi).min()), tp_dist
 
 
 def is_cptp(choi: np.ndarray) -> bool:
@@ -89,8 +90,8 @@ class TomographySetup:
 
     Validates that every preparation is positive semidefinite with unit
     trace and that the POVM elements resolve to the identity. The forward
-    model, the gradient, linear inversion and the design's condition number
-    all use the stacked operators ``prep_rows`` and ``povm_rows``.
+    model, the gradient and linear inversion use the stacked operators
+    ``prep_rows`` and ``povm_rows``.
     """
 
     def __init__(self, preparations, povm):
@@ -170,19 +171,25 @@ def build_design(setup: TomographySetup) -> np.ndarray:
     return rows
 
 
+def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
+    """C[(a, x), (b, y)] -> C~[(a, b), (x, y)]; its own inverse.
+
+    C~ is the Choi operator in the (preparation, POVM) layout: p = R C~ F^T.
+    """
+    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
 def forward_probs(choi: np.ndarray, setup: TomographySetup) -> np.ndarray:
     """Outcome probabilities p_ij = Tr([rho_i^T (x) E_j] C), flat, i major.
 
     p_ij = sum rho_i[a, b] E_j[y, x] C[(a, x), (b, y)], computed as
-    R C~ F^T with C~[(a, b), (x, y)] = C[(a, x), (b, y)]: O(d^6) time and no
-    design matrix.
+    R C~ F^T with C~ = ``_reshuffle(C)``: O(d^6) time and no design matrix.
     """
     choi = np.asarray(choi)
     d = setup.d
     if choi.shape != (d * d, d * d):
         raise DimensionError(f"Choi shape {choi.shape} does not match setup d={d}")
-    c_tilde = choi.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    return (setup.prep_rows @ c_tilde @ setup.povm_rows.T).real.reshape(-1)
+    return (setup.prep_rows @ _reshuffle(choi, d) @ setup.povm_rows.T).real.reshape(-1)
 
 
 def condition_probs(p: np.ndarray) -> tuple[np.ndarray, bool]:

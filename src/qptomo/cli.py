@@ -140,7 +140,7 @@ def _cmd_gen_map(args) -> int:
         choi = random_quasi_pure(spec)
         meta = {"kind": "quasipure", "purity_sum": args.purity_sum, "seed": args.seed}
     purity = float(np.trace(choi @ choi).real) / args.d**2
-    min_eig, _ = cptp_residuals(choi, args.d)
+    min_eig, _ = cptp_residuals(choi)
     meta["purity"] = io._fmt(purity)
     args.out.write_text(io.dump_choi(choi, args.d, meta))
     print(f"purity {purity:.6f}  min eigenvalue {min_eig:.3e}")
@@ -209,7 +209,7 @@ def _cmd_project(args) -> int:
     elif args.target_set == "cp":
         projected = project_cp(mat)
     elif args.target_set == "tp":
-        projected = project_tp(mat, d)
+        projected = project_tp(mat)
     elif args.target_set == "tni":
         projected = project_tni(mat)
     else:
@@ -272,6 +272,8 @@ def _cmd_benchmark(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise QptError(f"unknown method {m!r}")
+    if not (d_list and n_list and methods):
+        raise QptError("--d-list, --N-list and --methods each need at least one entry")
     if args.trials < 1 or args.seed < 0:
         raise QptError(f"need --trials >= 1 and --seed >= 0, got {args.trials} "
                        f"and {args.seed}")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import TomographySetup, CountsTable, forward_probs, is_cptp
-from .errors import DimensionError, DomainError, LapackError
-from .linalg import block_congruence, partial_trace_out, psd_sqrt_inv, trace_norm
+from .errors import DimensionError, DomainError
+from .linalg import block_congruence, choi_dim, partial_trace_out, psd_sqrt_inv, trace_norm
 
 #: Largest sample size the multinomial sampler takes.
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -76,7 +76,7 @@ def _full_rank_choi(rng: np.random.Generator, d: int, kraus_rank: int) -> np.nda
         (d * d, kraus_rank)
     )
     g = x @ x.conj().T
-    return block_congruence(psd_sqrt_inv(partial_trace_out(g, d)), g)
+    return block_congruence(psd_sqrt_inv(partial_trace_out(g)), g)
 
 
 def random_cptp(spec: EnsembleSpec) -> np.ndarray:
@@ -188,24 +188,6 @@ def j_distance(choi_a: np.ndarray, choi_b: np.ndarray) -> float:
     choi_b = np.asarray(choi_b)
     if choi_a.shape != choi_b.shape:
         raise DimensionError(f"shape mismatch {choi_a.shape} vs {choi_b.shape}")
-    d = round(choi_a.shape[0] ** 0.5)
-    if d * d != choi_a.shape[0]:
-        raise DimensionError(f"side {choi_a.shape[0]} is not a perfect square")
+    d = choi_dim(choi_a)
     return trace_norm(choi_a - choi_b) / (2 * d)
 
-
-def design_condition_number(setup: TomographySetup) -> float:
-    """Ratio of the largest to smallest nonzero singular value of the design.
-
-    The design is R (x) F up to a column permutation, so its singular values
-    are the pairwise products of those of ``prep_rows`` and ``povm_rows``.
-    """
-    try:
-        s_r = np.linalg.svd(setup.prep_rows, compute_uv=False)
-        s_f = np.linalg.svd(setup.povm_rows, compute_uv=False)
-    except np.linalg.LinAlgError as err:
-        raise LapackError(f"singular value decomposition failed: {err}") from err
-    s = np.outer(s_r, s_f)
-    s_max = s_r[0] * s_f[0]
-    cutoff = max(setup.n_prep * setup.n_povm, setup.d**4) * np.finfo(float).eps * s_max
-    return float(s_max / s[s > cutoff].min())

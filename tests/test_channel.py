@@ -61,7 +61,7 @@ class TestChoiFromKraus:
             np.diag([1, -1]),
         ]
         c = choi_from_kraus([p / 2 for p in paulis])
-        assert np.abs(partial_trace_out(c, 2) - np.eye(2)).max() < 1e-12
+        assert np.abs(partial_trace_out(c) - np.eye(2)).max() < 1e-12
 
     def test_dimension_errors(self):
         with pytest.raises(DimensionError):

@@ -525,6 +525,16 @@ class TestBenchmark:
         assert run("benchmark", "--d-list", "2", "--N-list", "10",
                    "--methods", "sorcery", "--out", tmp_path / "x.csv") == 1
 
+    @pytest.mark.parametrize("flag", ["--d-list", "--N-list", "--methods"])
+    def test_empty_list_is_data_error(self, tmp_path, capsys, flag):
+        argv = {"--d-list": "2", "--N-list": "10", "--methods": "lifp"}
+        argv[flag] = ","
+        out = tmp_path / "x.csv"
+        assert run("benchmark", *(x for kv in argv.items() for x in kv),
+                   "--out", out) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test-only dependency: every qptomo command would pay its

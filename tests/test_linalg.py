@@ -10,12 +10,14 @@ from qptomo import (
     SingularMatrixError,
     TomographySetup,
     cptp_residuals,
-    design_condition_number,
     eigh,
     frobenius_inner,
     hermitize,
+    is_cptp,
+    j_distance,
     kron,
     partial_trace_out,
+    project_cptp_dykstra,
     psd_sqrt_inv,
     trace_norm,
     vec,
@@ -79,17 +81,17 @@ class TestKron:
 class TestPartialTrace:
     def test_out_diagonal_example(self):
         c = np.diag([0.1, 0.1, 0.1, 1.7])
-        assert np.abs(partial_trace_out(c, 2) - np.diag([0.2, 1.8])).max() < 1e-15
+        assert np.abs(partial_trace_out(c) - np.diag([0.2, 1.8])).max() < 1e-15
 
     def test_in_diagonal_example(self):
         c = np.diag([0.1, 0.1, 0.1, 1.7])
-        assert np.abs(partial_trace_in(c, 2) - np.diag([0.2, 1.8])).max() < 1e-15
+        assert np.abs(partial_trace_in(c) - np.diag([0.2, 1.8])).max() < 1e-15
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_maximally_mixed(self, d):
         c = np.eye(d * d) / d
-        assert np.abs(partial_trace_out(c, d) - np.eye(d) / d * d).max() < 1e-15
-        assert np.abs(partial_trace_in(c, d) - np.eye(d) / d * d).max() < 1e-15
+        assert np.abs(partial_trace_out(c) - np.eye(d) / d * d).max() < 1e-15
+        assert np.abs(partial_trace_in(c) - np.eye(d) / d * d).max() < 1e-15
 
     def test_identity_channel_choi(self):
         d = 2
@@ -99,29 +101,49 @@ class TestPartialTrace:
                 e = np.zeros((d, d))
                 e[i, j] = 1
                 c += kron(e, e)
-        assert np.abs(partial_trace_out(c, d) - np.eye(d)).max() < 1e-15
+        assert np.abs(partial_trace_out(c) - np.eye(d)).max() < 1e-15
 
     def test_kron_factorization(self):
         a, b = crandom(3, 3), crandom(3, 3)
-        out = partial_trace_out(kron(a, b), 3)
+        out = partial_trace_out(kron(a, b))
         assert np.abs(out - a * np.trace(b)).max() < 1e-12
 
     def test_trace_preserved(self):
         c = random_hermitian(RNG, 9)
-        assert abs(np.trace(partial_trace_in(c, 3)) - np.trace(c)) < 1e-12
-        assert abs(np.trace(partial_trace_out(c, 3)) - np.trace(c)) < 1e-12
+        assert abs(np.trace(partial_trace_in(c)) - np.trace(c)) < 1e-12
+        assert abs(np.trace(partial_trace_out(c)) - np.trace(c)) < 1e-12
 
     def test_linearity(self):
         a, b = random_hermitian(RNG, 4), random_hermitian(RNG, 4)
-        lhs = partial_trace_out(2.0 * a + b, 2)
-        rhs = 2.0 * partial_trace_out(a, 2) + partial_trace_out(b, 2)
+        lhs = partial_trace_out(2.0 * a + b)
+        rhs = 2.0 * partial_trace_out(a) + partial_trace_out(b)
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            partial_trace_out(np.eye(4), 3)
+            partial_trace_out(np.eye(5))
         with pytest.raises(DimensionError):
             partial_trace_in(np.eye(5))
+
+
+@pytest.mark.parametrize(
+    "call, x",
+    [
+        (project_cptp_dykstra, np.ones((4, 3))),
+        (is_cptp, np.ones((4, 3))),
+        (is_cptp, np.zeros((0, 0))),
+        (cptp_residuals, np.ones((4, 3))),
+        (lambda x: j_distance(x, x), np.ones((4, 3))),
+        (_project_cptp_dual, np.ones((4, 3))),
+        (_project_cptp_dual, np.eye(5)),
+    ],
+    ids=["dykstra-4x3", "is_cptp-4x3", "is_cptp-0x0", "residuals-4x3",
+         "j_distance-4x3", "dual-4x3", "dual-5x5"],
+)
+def test_non_choi_shape_is_a_dimension_error(call, x):
+    # The shape is checked before hermitize or LAPACK sees the input.
+    with pytest.raises(DimensionError):
+        call(x)
 
 
 class TestEigh:
@@ -211,7 +233,6 @@ class TestLapackFailures:
              lambda s: cptp_residuals(np.eye(4) / 2), LapackError),
             ("svd", "SVD did not converge",
              lambda s: trace_norm(np.eye(4)), LapackError),
-            ("svd", "SVD did not converge", design_condition_number, LapackError),
             ("eigvalsh", "Eigenvalues did not converge", rebuild_setup, LapackError),
             # A fresh setup: a used one keeps its pseudo-inverses.
             ("pinv", "SVD did not converge",

@@ -113,7 +113,7 @@ class TestProjectCp:
 
 class TestProjectTp:
     def test_closed_form_value(self):
-        out = project_tp(C_BOX, 2)
+        out = project_tp(C_BOX)
         assert np.abs(out - np.diag([0.5, 0.5, -0.3, 1.3])).max() < 1e-12
 
     def test_constrained_lsq_oracle_agrees(self):
@@ -123,23 +123,23 @@ class TestProjectTp:
 
     def test_fixed_point(self):
         c = identity_choi(2)
-        assert np.abs(project_tp(c, 2) - c).max() < 1e-12
+        assert np.abs(project_tp(c) - c).max() < 1e-12
 
     def test_zero_matrix(self):
-        out = project_tp(np.zeros((4, 4)), 2)
+        out = project_tp(np.zeros((4, 4)))
         assert np.abs(out - np.eye(4) / 2).max() < 1e-15
 
     def test_idempotent_and_feasible(self):
         c = random_hermitian(RNG, 9)
-        out = project_tp(c, 3)
-        assert np.abs(partial_trace_out(out, 3) - np.eye(3)).max() < 1e-12
-        assert np.abs(project_tp(out, 3) - out).max() < 1e-10
+        out = project_tp(c)
+        assert np.abs(partial_trace_out(out) - np.eye(3)).max() < 1e-12
+        assert np.abs(project_tp(out) - out).max() < 1e-10
 
     def test_orthogonality_of_affine_projection(self):
         c = random_hermitian(RNG, 4, scale=3.0)
-        proj = project_tp(c, 2)
+        proj = project_tp(c)
         for _ in range(25):
-            b = project_tp(random_hermitian(RNG, 4, scale=3.0), 2)
+            b = project_tp(random_hermitian(RNG, 4, scale=3.0))
             assert abs(frobenius_inner(c - proj, b - proj)) < 1e-9
 
     def test_m_form_equivalence(self):
@@ -151,7 +151,7 @@ class TestProjectTp:
 class TestProjectUsP:
     def test_reduces_to_tp_at_one(self):
         c = random_hermitian(RNG, 4)
-        assert np.abs(project_us_p(c, 1.0) - project_tp(c, 2)).max() < 1e-14
+        assert np.abs(project_us_p(c, 1.0) - project_tp(c)).max() < 1e-14
 
     def test_zero_matrix_half(self):
         out = project_us_p(np.zeros((4, 4)), 0.5)
@@ -161,7 +161,7 @@ class TestProjectUsP:
         # The defining constraint pins the diagonal: Tr_out must equal 0.5 I.
         out = project_us_p(C_BOX, 0.5)
         assert np.abs(out - np.diag([0.25, 0.25, -0.55, 1.05])).max() < 1e-12
-        assert np.abs(partial_trace_out(out, 2) - 0.5 * np.eye(2)).max() < 1e-12
+        assert np.abs(partial_trace_out(out) - 0.5 * np.eye(2)).max() < 1e-12
 
     def test_constrained_lsq_oracle_agrees(self):
         c = random_hermitian(RNG, 4)
@@ -194,7 +194,7 @@ class TestProjectTni:
     def test_feasibility_and_idempotence(self):
         c = random_hermitian(RNG, 9, scale=5.0)
         out = project_tni(c)
-        evals = np.linalg.eigvalsh(hermitize(partial_trace_out(out, 3)))
+        evals = np.linalg.eigvalsh(hermitize(partial_trace_out(out)))
         assert evals.max() <= 1 + 1e-10
         assert np.abs(project_tni(out) - out).max() < 1e-10
 
@@ -217,7 +217,7 @@ class TestMOperator:
     def test_vectorizes_partial_trace(self, d):
         c = random_hermitian(RNG, d * d)
         lhs = m_operator(d) @ vec(c)
-        assert np.abs(lhs - vec(partial_trace_out(c, d))).max() < 1e-12
+        assert np.abs(lhs - vec(partial_trace_out(c))).max() < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_mm_dagger(self, d):
@@ -245,7 +245,7 @@ class TestDykstra:
     def test_output_is_cptp(self):
         out = project_cptp_dykstra(C_BOX, tol=1e-10)
         assert np.linalg.eigvalsh(out).min() >= -1e-10
-        assert np.abs(partial_trace_out(out, 2) - np.eye(2)).max() < 1e-6
+        assert np.abs(partial_trace_out(out) - np.eye(2)).max() < 1e-6
 
     def test_closest_point_by_sampling(self):
         out = project_cptp_dykstra(C_BOX, tol=1e-10)
@@ -270,7 +270,7 @@ class TestDykstra:
         assert excinfo.value.residual > EPS_TP
         last = excinfo.value.last_iterate
         assert np.linalg.eigvalsh(last).min() >= -1e-12
-        tp_res = np.linalg.norm(partial_trace_out(last, 2) - np.eye(2))
+        tp_res = np.linalg.norm(partial_trace_out(last) - np.eye(2))
         assert abs(tp_res - excinfo.value.residual) <= 1e-12
 
     def test_positive_part_formed_only_once_tp_holds(self, monkeypatch):
@@ -356,7 +356,7 @@ class TestDualNewton:
             out, _, _ = _project_cptp_dual(c)
             assert np.abs(out - project_cptp_dykstra(c, tol=1e-12)).max() < 1e-6
             assert np.linalg.eigvalsh(out).min() >= -1e-12
-            assert np.linalg.norm(partial_trace_out(out, d) - np.eye(d)) <= 1e-12
+            assert np.linalg.norm(partial_trace_out(out) - np.eye(d)) <= 1e-12
             vi = ((pool - vec(out)) @ vec(c - out).conj()).real
             assert vi.max() <= 1e-6
 
@@ -482,7 +482,7 @@ class TestAveragedProjection:
     def test_zero_matrix_reaches_feasibility(self):
         out = project_cptp_averaged(np.zeros((4, 4)))
         assert np.linalg.eigvalsh(out).min() >= -1e-8
-        assert np.abs(partial_trace_out(out, 2) - np.eye(2)).max() < 1e-6
+        assert np.abs(partial_trace_out(out) - np.eye(2)).max() < 1e-6
 
     def test_dykstra_is_at_least_as_close(self):
         averaged = project_cptp_averaged(C_BOX, tol=1e-10)
