@@ -86,24 +86,26 @@ def is_cptp(choi: np.ndarray) -> bool:
 
 
 class TomographySetup:
-    """Ordered preparation states and POVM elements.
+    """Ordered preparation states and POVM elements as (count, d, d) stacks.
 
     Validates that every preparation is positive semidefinite with unit
     trace and that the POVM elements resolve to the identity. The forward
-    model, the gradient and linear inversion use the stacked operators
-    ``prep_rows`` and ``povm_rows``.
+    model, the gradient and linear inversion use the rows of the stacks:
+    ``prep_rows`` R[i, (a, b)] = rho_i[a, b], ``povm_rows`` F[j, (x, y)] = E_j[y, x].
     """
 
     def __init__(self, preparations, povm):
-        self.preparations = [np.asarray(r, dtype=complex) for r in preparations]
-        self.povm = [np.asarray(e, dtype=complex) for e in povm]
-        if not self.preparations or not self.povm:
+        try:
+            self.preparations = np.array(preparations, dtype=complex)
+            self.povm = np.array(povm, dtype=complex)
+        except ValueError as err:
+            raise DimensionError(f"setup operators must all be d x d: {err}") from err
+        if self.preparations.size == 0 or self.povm.size == 0:
             raise DomainError("setup needs at least one preparation and one POVM element")
-        d = self.preparations[0].shape[0]
-        for op in self.preparations + self.povm:
-            if op.shape != (d, d):
-                raise DimensionError(f"operator shape {op.shape} does not match d={d}")
-        self.d = d
+        self.d = d = self.preparations.shape[-1] if self.preparations.ndim else 0
+        for ops in (self.preparations, self.povm):
+            if ops.shape[1:] != (d, d):
+                raise DimensionError(f"operator shape {ops.shape[1:]} does not match d={d}")
         for i, rho in enumerate(self.preparations):
             if np.abs(rho - rho.conj().T).max() > 1e-10:
                 raise DomainError(f"preparation {i} is not Hermitian")
@@ -111,9 +113,10 @@ class TomographySetup:
                 raise DomainError(f"preparation {i} is not positive semidefinite")
             if abs(np.trace(rho) - 1.0) > 1e-10:
                 raise DomainError(f"preparation {i} does not have unit trace")
-        total = sum(self.povm)
-        if np.abs(total - np.eye(self.d)).max() > 1e-10:
+        if np.abs(self.povm.sum(axis=0) - np.eye(d)).max() > 1e-10:
             raise DomainError("POVM elements do not resolve to the identity")
+        self.prep_rows = self.preparations.reshape(self.n_prep, -1)
+        self.povm_rows = self.povm.transpose(0, 2, 1).reshape(self.n_povm, -1)
 
     @property
     def n_prep(self) -> int:
@@ -122,16 +125,6 @@ class TomographySetup:
     @property
     def n_povm(self) -> int:
         return len(self.povm)
-
-    @cached_property
-    def prep_rows(self) -> np.ndarray:
-        """R[i, (a, b)] = rho_i[a, b]: one row-major preparation per row."""
-        return np.stack(self.preparations).reshape(self.n_prep, -1)
-
-    @cached_property
-    def povm_rows(self) -> np.ndarray:
-        """F[j, (x, y)] = E_j[y, x]: one row-major transposed element per row."""
-        return np.stack([e.T for e in self.povm]).reshape(self.n_povm, -1)
 
     @cached_property
     def inversion_factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -205,15 +198,9 @@ def condition_probs(p: np.ndarray) -> tuple[np.ndarray, bool]:
 
 @dataclass
 class CountsTable:
-    """Per-preparation outcome frequencies, normalized so each row sums to 1.
-
-    ``raw_totals`` keeps the original sample sizes N_i when the table came
-    from counted data; it is None for infinite-data (exact probability)
-    tables.
-    """
+    """Per-preparation outcome frequencies, normalized so each row sums to 1."""
 
     n: np.ndarray
-    raw_totals: np.ndarray | None = None
 
     def __post_init__(self):
         self.n = np.asarray(self.n, dtype=float)
@@ -228,17 +215,14 @@ class CountsTable:
             raise DomainError("rows must be normalized to 1 within 1e-9")
         self.n = np.clip(self.n, 0.0, None)
         self.n /= self.n.sum(axis=1, keepdims=True)
-        if self.raw_totals is not None:
-            self.raw_totals = np.asarray(self.raw_totals, dtype=np.int64)
 
     @classmethod
     def from_raw(cls, counts: np.ndarray) -> "CountsTable":
-        # Integer counts keep integer totals: 2^63 - 1 does not survive float.
         counts = np.asarray(counts)
         totals = counts.sum(axis=1)
         if (totals <= 0).any():
             raise DomainError("every preparation needs at least one count")
-        return cls(counts / totals[:, None], raw_totals=totals.astype(np.int64))
+        return cls(counts / totals[:, None])
 
     @property
     def flat(self) -> np.ndarray:

@@ -30,7 +30,7 @@ from .ensembles import (
     random_quasi_pure,
     simulate_counts,
 )
-from .errors import ConvergenceError, QptError, StalledStepError
+from .errors import ConvergenceError, DomainError, QptError, StalledStepError
 from .projections import (
     project_cp,
     project_cptp_dykstra,
@@ -147,17 +147,25 @@ def _cmd_gen_map(args) -> int:
     return 0
 
 
+def _read(path: Path) -> str:
+    """The text of an input file; bytes that are not UTF-8 are a data error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise DomainError(f"{path}: not UTF-8 text: {err}") from err
+
+
 def _load_setup_for(d: int, setup_path: Path | None):
     if setup_path is None:
         return minimal_setup(d)
-    setup = io.load_setup(setup_path.read_text())
+    setup = io.load_setup(_read(setup_path))
     if setup.d != d:
         raise QptError(f"setup dimension {setup.d} does not match data dimension {d}")
     return setup
 
 
 def _cmd_simulate(args) -> int:
-    choi, d, _ = io.load_choi(args.map_file.read_text())
+    choi, d, _ = io.load_choi(_read(args.map_file))
     setup = _load_setup_for(d, args.setup)
     counts = simulate_counts(choi, setup, SimulationSpec(args.n_samples, args.seed))
     args.out.write_text(io.dump_counts(counts, d, args.n_samples, args.seed))
@@ -165,7 +173,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    counts, info = io.load_counts(args.counts.read_text())
+    counts, info = io.load_counts(_read(args.counts))
     setup = _load_setup_for(info["d"], args.setup)
     report_path = args.report or args.out.parent / (args.out.name + ".report.json")
 
@@ -203,7 +211,7 @@ def _cmd_project(args) -> int:
     if args.target_set == "us_p" and args.p_success is None:
         print("error: --set us_p requires --p-success", file=sys.stderr)
         return 2
-    mat, d, _ = io.load_choi(args.in_file.read_text())
+    mat, d, _ = io.load_choi(_read(args.in_file))
     if args.target_set == "us_p":
         projected = project_us_p(mat, args.p_success)
     elif args.target_set == "cp":
@@ -226,15 +234,15 @@ def _benchmark_trial(setup, n_samples, trial: int, base_seed: int,
     n_key = 0 if n_samples is None else int(n_samples)
     seq = np.random.SeedSequence([base_seed, d, n_key, trial])
     map_seed, counts_seed = (int(s) for s in seq.generate_state(2, dtype=np.uint64))
+    key = {"d": d, "N": "inf" if n_samples is None else n_samples, "trial": trial,
+           "seed": map_seed}
 
     def failed(method, err):
         status = {
             ConvergenceError: "iteration_cap",
             StalledStepError: "stalled",
         }.get(type(err), "error")
-        return io.benchmark_row(
-            d, n_samples, method, trial, map_seed,
-            None, None, None, None, None, status)
+        return io.benchmark_row(**key, method=method, status=status)
 
     try:
         truth = random_quasi_pure(
@@ -253,10 +261,10 @@ def _benchmark_trial(setup, n_samples, trial: int, base_seed: int,
             else:
                 est, report = solve_lifp(setup, counts)
             rows.append(io.benchmark_row(
-                d, n_samples, method, trial, map_seed,
-                j_distance(est, truth), report.final_cost, report.iterations,
-                report.wall_time_s if timings else None,
-                report.conditioning_heralded, "ok"))
+                **key, method=method, j_distance=j_distance(est, truth),
+                final_cost=report.final_cost, iterations=report.iterations,
+                wall_time_s=report.wall_time_s if timings else None,
+                heralded=report.conditioning_heralded, status="ok"))
         except QptError as err:
             rows.append(failed(method, err))
     return rows

@@ -24,6 +24,22 @@ from .linalg import block_congruence, choi_dim, partial_trace_out, psd_sqrt_inv,
 #: Largest sample size the multinomial sampler takes.
 INT64_MAX = int(np.iinfo(np.int64).max)
 
+#: Byte budget of a dimension d. The largest array a solver builds is the dual
+#: Newton projection's d^2 x d^4 complex matrix, 16 d^6 bytes (256 MiB at
+#: d = 16), so d is checked against this bound where it enters, in
+#: ``EnsembleSpec`` and ``minimal_setup``, before anything is allocated.
+MAX_DIM_BYTES = 1 << 30
+
+
+def _check_dim(d: int) -> None:
+    if d < 2:
+        raise DomainError(f"dimension must be at least 2, got {d}")
+    if 16 * d**6 > MAX_DIM_BYTES:
+        raise DimensionError(
+            f"dimension {d} needs 16 d^6 = {16 * d**6:.3g} bytes, over the "
+            f"bound MAX_DIM_BYTES = {MAX_DIM_BYTES}"
+        )
+
 
 def _check_seed(seed: int) -> None:
     if seed < 0:
@@ -41,8 +57,7 @@ class EnsembleSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.d < 2:
-            raise DomainError(f"dimension must be at least 2, got {self.d}")
+        _check_dim(self.d)
         if self.kraus_rank < 1:
             raise DomainError(f"Kraus rank must be at least 1, got {self.kraus_rank}")
         if self.kind not in ("full_rank", "quasi_pure"):
@@ -146,8 +161,7 @@ def minimal_setup(d: int) -> TomographySetup:
     (|j> + i|k>)/sqrt(2) for j < k. 2 d^2 POVM elements: rho_i / d^2 and
     their complements (I - rho_i) / d^2, which resolve to the identity.
     """
-    if d < 2:
-        raise DomainError(f"dimension must be at least 2, got {d}")
+    _check_dim(d)
     eye = np.eye(d, dtype=complex)
     preps = [_pure_state(eye[j]) for j in range(d)]
     for j in range(d):

@@ -29,10 +29,12 @@ from .errors import DomainError
 CHOI_FORMAT = "choi-v1"
 SETUP_FORMAT = "setup-v1"
 COUNTS_FORMAT = "counts-v1"
-BENCHMARK_HEADER = (
-    "d,N,method,trial,seed,j_distance,final_cost,iterations,"
-    "wall_time_s,heralded,status"
+#: The benchmark CSV columns, in order; ``benchmark_row`` takes cells by name.
+BENCHMARK_COLUMNS = (
+    "d", "N", "method", "trial", "seed", "j_distance", "final_cost",
+    "iterations", "wall_time_s", "heralded", "status",
 )
+BENCHMARK_HEADER = ",".join(BENCHMARK_COLUMNS)
 BENCHMARK_VERSION = "# qptomo-benchmark-v1"
 
 #: Largest admissible entry of C - C^dagger in a Choi file.
@@ -40,7 +42,9 @@ HERMITICITY_TOL = 1e-6
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    # + 0.0 turns -0.0 into 0.0: JSON reads "-0" as the integer 0, so a
+    # negative zero would not read back as written.
+    return format(float(x) + 0.0, ".17g")
 
 
 def _matrix_rows(m: np.ndarray) -> str:
@@ -78,7 +82,7 @@ def _parse_matrix(doc: dict, d2: int, what: str) -> np.ndarray:
     try:
         re = np.asarray(doc["re"], dtype=float)
         im = np.asarray(doc["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise DomainError(f"{what}: bad matrix blocks: {err}") from err
     if re.shape != (d2, d2) or im.shape != (d2, d2):
         raise DomainError(f"{what}: matrix blocks must be {d2}x{d2}")
@@ -91,7 +95,7 @@ def _load_doc(text: str, fmt: str) -> tuple[dict, int]:
     """Parse a JSON document of format ``fmt``; returns (document, d)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise DomainError(f"not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise DomainError(f"expected a JSON object, got {type(doc).__name__}")
@@ -177,6 +181,12 @@ def load_counts(text: str) -> tuple[CountsTable, dict]:
         i, j = np.argwhere(~seen)[0]
         raise DomainError(f"counts file has no row for cell ({i}, {j})")
     table = CountsTable(n)  # validates finiteness and row normalization
+    # A row that sums to 1 up to rounding stays as written: dividing it by its
+    # sum again moves last bits, and load then dump would not give back the
+    # file that dump_counts wrote.
+    rounding = 4 * n_povm * np.finfo(float).eps
+    exact = (np.abs(n.sum(axis=1) - 1.0) <= rounding) & (n >= 0).all(axis=1)
+    table.n[exact] = n[exact]
     info = {"d": d, "n_prep": n_prep, "n_povm": n_povm, "N": n_samples, "seed": seed}
     return table, info
 
@@ -203,36 +213,20 @@ def load_setup(text: str) -> TomographySetup:
     return TomographySetup(preps, povm)
 
 
-def benchmark_row(
-    d: int,
-    n_samples,
-    method: str,
-    trial: int,
-    seed: int,
-    j_dist: float | None,
-    final_cost: float | None,
-    iterations: int | None,
-    wall_time_s: float | None,
-    heralded: bool | None,
-    status: str,
-) -> str:
-    """Format one benchmark CSV row; None fields are left empty."""
-    n_str = "inf" if n_samples is None else str(int(n_samples))
-    return ",".join(
-        [
-            str(d),
-            n_str,
-            method,
-            str(trial),
-            str(seed),
-            "" if j_dist is None else _fmt(j_dist),
-            "" if final_cost is None else _fmt(final_cost),
-            "" if iterations is None else str(int(iterations)),
-            "" if wall_time_s is None else _fmt(wall_time_s),
-            "" if heralded is None else ("true" if heralded else "false"),
-            status,
-        ]
-    )
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def benchmark_row(**cells) -> str:
+    """One benchmark CSV row from cells named by column; absent cells stay empty."""
+    unknown = cells.keys() - set(BENCHMARK_COLUMNS)
+    if unknown:
+        raise TypeError(f"unknown benchmark columns {sorted(unknown)}")
+    return ",".join(_cell(cells.get(name)) for name in BENCHMARK_COLUMNS)
 
 
 def dump_benchmark(rows: list[str]) -> str:

@@ -198,9 +198,8 @@ class TestCountsTable:
         t = CountsTable(np.array([[0.5, 0.5 + 1e-10]]))
         assert t.n.sum(axis=1) == pytest.approx(1.0, abs=1e-15)
 
-    def test_from_raw_keeps_totals(self):
+    def test_from_raw_normalizes_rows(self):
         t = CountsTable.from_raw(np.array([[3, 1], [2, 2]]))
-        assert np.array_equal(t.raw_totals, [4, 4])
         assert np.allclose(t.n, [[0.75, 0.25], [0.5, 0.5]])
 
     def test_rejects_unnormalized(self):
@@ -257,7 +256,6 @@ class TestGradient:
         # validation to exercise the linearity of the formula in n.
         table = object.__new__(CountsTable)
         table.n = np.zeros((4, 8))
-        table.raw_totals = None
         g = gradient(identity_choi(2), setup2, table)
         assert np.abs(g).max() == 0.0
 

@@ -410,13 +410,24 @@ def test_every_config_field_has_a_reconstruct_flag():
     ("benchmark", "--d-list", 2, "--N-list", "inf", "--trials", -1),
     ("benchmark", "--d-list", 2, "--N-list", "inf", "--trials", 0),
     ("benchmark", "--d-list", -2, "--N-list", "inf"),
+    ("simulate", "--map", "UNDECODABLE", "--N", 10),
+    ("reconstruct", "--counts", "UNDECODABLE", "--method", "lifp"),
+    ("reconstruct", "--counts", "COUNTS", "--method", "lifp", "--setup", "UNDECODABLE"),
+    ("project", "--in", "UNDECODABLE", "--set", "cp"),
+    ("project", "--in", "DEEP", "--set", "cp"),
 ], ids=["gen-map-full-seed", "gen-map-quasipure-seed", "simulate-seed",
         "simulate-inf-seed", "simulate-huge-N", "benchmark-seed",
-        "benchmark-negative-trials", "benchmark-zero-trials", "benchmark-negative-d"])
+        "benchmark-negative-trials", "benchmark-zero-trials", "benchmark-negative-d",
+        "simulate-undecodable-map", "reconstruct-undecodable-counts",
+        "reconstruct-undecodable-setup", "project-undecodable", "project-deep-json"])
 def test_bad_input_exits_1(tmp_path, counts_inf, capsys, argv):
-    mapfile, _ = counts_inf
+    mapfile, counts = counts_inf
+    files = {"MAP": mapfile, "COUNTS": counts,
+             "UNDECODABLE": tmp_path / "undecodable", "DEEP": tmp_path / "deep.json"}
+    files["UNDECODABLE"].write_bytes(b"\xff\xfe# counts-v1\n")
+    files["DEEP"].write_text("[" * 200_000)
     out = tmp_path / "out"
-    argv = [mapfile if a == "MAP" else a for a in argv]
+    argv = [files.get(a, a) for a in argv]
     assert run(*argv, "--out", out) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
@@ -487,6 +498,12 @@ class TestBenchmark:
         assert lines[1] == qio.BENCHMARK_HEADER
         assert len(lines) == 2 + 15  # 1 d x 1 N x 3 methods x 5 trials
 
+    def test_row_cells_are_named_by_column(self):
+        row = qio.benchmark_row(d=2, N="inf", final_cost=0.5, heralded=False, status="ok")
+        assert row == "2,inf,,,,,0.5,,,false,ok"
+        with pytest.raises(TypeError, match="n_samples"):
+            qio.benchmark_row(n_samples=10)
+
     def test_median_j_decreases_with_n(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run("benchmark", "--d-list", "2", "--N-list", "1000,100000,10000000",
@@ -546,9 +563,12 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "False"
 
 
-def test_out_of_memory_exits_1(tmp_path):
-    # The child caps its own address space at 1 GiB before numpy loads, so
-    # the d^2 x d^2 draw fails at once without touching the machine's memory.
+def run_capped(*argv):
+    """Run the CLI in a child that caps its own address space at 1 GiB.
+
+    The cap is set before numpy loads, so an allocation that cannot fit
+    fails at once without touching the machine's memory.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(qptomo.__file__).parent.parent),
                OPENBLAS_NUM_THREADS="1")
     code = (
@@ -557,8 +577,28 @@ def test_out_of_memory_exits_1(tmp_path):
         "from qptomo.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    argv = ["gen-map", "--d", "1000", "--kind", "full", "--out", str(tmp_path / "m.json")]
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_out_of_memory_exits_1(tmp_path):
+    # d = 2 is within the dimension bound; the 4 x 10^8 Gaussian draw is not.
+    proc = run_capped("gen-map", "--d", 2, "--kind", "full", "--kraus-rank", 10**8,
+                      "--out", tmp_path / "m.json")
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: out of memory")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-map", "--d", 1000, "--kind", "full"),
+    ("reconstruct", "--counts", "COUNTS", "--method", "lifp"),
+], ids=["gen-map", "reconstruct"])
+def test_dimension_over_the_byte_bound_exits_1(tmp_path, argv):
+    counts = tmp_path / "counts.txt"
+    counts.write_text("# counts-v1\n# d=1000 n_prep=1 n_povm=1 N=10 seed=0\ni,j,n\n0,0,1\n")
+    proc = run_capped(*(counts if a == "COUNTS" else a for a in argv),
+                      "--out", tmp_path / "out.json")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: dimension 1000") and "MAX_DIM_BYTES" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -117,6 +117,13 @@ class TestMinimalSetup:
         with pytest.raises(DomainError):
             minimal_setup(1)
 
+    def test_dimension_over_the_byte_bound_rejected(self):
+        assert minimal_setup(20).d == 20  # 16 d^6 bytes is just under 1 GiB
+        EnsembleSpec(d=20, kraus_rank=1)
+        for build in (minimal_setup, lambda d: EnsembleSpec(d=d, kraus_rank=1)):
+            with pytest.raises(DimensionError, match="MAX_DIM_BYTES"):
+                build(21)
+
 
 class TestSimulateCounts:
     def test_infinite_matches_probabilities(self, setup2):
@@ -124,13 +131,11 @@ class TestSimulateCounts:
         counts = simulate_counts(c, setup2, SimulationSpec(None))
         p = forward_probs(c, setup2).reshape(4, 8)
         assert np.abs(counts.n - p).max() < 1e-14
-        assert counts.raw_totals is None
 
     def test_finite_rows_normalized_with_totals(self, setup2):
         c = random_cptp(EnsembleSpec(d=2, kraus_rank=4, rng_seed=7))
         counts = simulate_counts(c, setup2, SimulationSpec(1000, rng_seed=7))
         assert np.abs(counts.n.sum(axis=1) - 1.0).max() < 1e-12
-        assert np.array_equal(counts.raw_totals, [1000] * 4)
         scaled = counts.n * 1000
         assert np.abs(scaled - scaled.round()).max() < 1e-9  # integer counts
 
@@ -159,11 +164,12 @@ class TestSimulateCounts:
         with pytest.raises(DomainError):
             SimulationSpec(0)
 
-    def test_largest_sample_size_keeps_its_totals(self, setup2):
+    def test_largest_sample_size_gives_normalized_rows(self, setup2):
         n = int(np.iinfo(np.int64).max)
         c = random_cptp(EnsembleSpec(d=2, kraus_rank=4, rng_seed=7))
         counts = simulate_counts(c, setup2, SimulationSpec(n, rng_seed=7))
-        assert np.array_equal(counts.raw_totals, [n] * 4)
+        assert np.isfinite(counts.n).all()
+        assert np.abs(counts.n.sum(axis=1) - 1.0).max() < 1e-12
 
 
 class TestJDistance:

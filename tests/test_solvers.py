@@ -68,7 +68,7 @@ def overcomplete_setup():
         gram.append(x @ x.conj().T)
     norm = psd_sqrt_inv(sum(gram))
     povm = [e / 2 for e in base.povm] + [norm @ g @ norm / 2 for g in gram]
-    return TomographySetup(base.preparations + states, povm)
+    return TomographySetup([*base.preparations, *states], povm)
 
 
 def two_preparation_setup():
