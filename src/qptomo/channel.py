@@ -198,7 +198,11 @@ def condition_probs(p: np.ndarray) -> tuple[np.ndarray, bool]:
 
 @dataclass
 class CountsTable:
-    """Per-preparation outcome frequencies, normalized so each row sums to 1."""
+    """Per-preparation outcome frequencies, normalized so each row sums to 1.
+
+    The one place rows are normalized: a row is divided by its sum only when
+    it is off 1 by more than rounding (4 n_povm eps), so k / N keeps its bits.
+    """
 
     n: np.ndarray
 
@@ -210,11 +214,12 @@ class CountsTable:
             raise DomainError("frequencies must be finite")
         if self.n.min() < -1e-12:
             raise DomainError(f"negative frequency {self.n.min():.3e}")
-        sums = self.n.sum(axis=1)
-        if np.abs(sums - 1.0).max() > 1e-9:
+        if np.abs(self.n.sum(axis=1) - 1.0).max() > 1e-9:
             raise DomainError("rows must be normalized to 1 within 1e-9")
         self.n = np.clip(self.n, 0.0, None)
-        self.n /= self.n.sum(axis=1, keepdims=True)
+        sums = self.n.sum(axis=1)
+        off = np.abs(sums - 1.0) > 4 * self.n.shape[1] * np.finfo(float).eps
+        self.n[off] /= sums[off, None]
 
     @classmethod
     def from_raw(cls, counts: np.ndarray) -> "CountsTable":

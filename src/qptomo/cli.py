@@ -46,7 +46,11 @@ from .solvers import (
     solve_pgdb,
 )
 
-METHODS = ("pgdb", "dia", "lifp")
+#: Each method's config class; lifp takes none. Its solver is ``solve_<method>``.
+METHODS = {"pgdb": PgdbConfig, "dia": DiaConfig, "lifp": None}
+#: ``project --set`` choices and their projections; us_p takes ``--p-success``.
+PROJECTIONS = {"cptp": project_cptp_dykstra, "cp": project_cp, "tp": project_tp,
+               "tni": project_tni, "us_p": project_us_p}
 
 
 def _positive_dim(value: str) -> int:
@@ -108,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     proj = sub.add_parser("project", help="project a matrix onto a constraint set")
     proj.add_argument("--in", dest="in_file", type=Path, required=True)
     proj.add_argument("--set", dest="target_set", required=True,
-                      choices=("cptp", "cp", "tp", "tni", "us_p"))
+                      choices=PROJECTIONS)
     proj.add_argument("--p-success", type=float, default=None,
                       help="success probability for --set us_p")
     proj.add_argument("--out", type=Path, required=True)
@@ -172,6 +176,18 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _solve(method: str, setup, counts, flags):
+    """Run ``method`` with its config from the ``flags`` set (None: defaults).
+
+    The solver is found at call time: a wrapper on ``qptomo.cli.solve_<method>`` sees it.
+    """
+    solve, cls = globals()[f"solve_{method}"], METHODS[method]
+    if cls is None:
+        return solve(setup, counts)
+    given = {f.name: getattr(flags, f.name, None) for f in dataclasses.fields(cls)}
+    return solve(setup, counts, cls(**{k: v for k, v in given.items() if v is not None}))
+
+
 def _cmd_reconstruct(args) -> int:
     counts, info = io.load_counts(_read(args.counts))
     setup = _load_setup_for(info["d"], args.setup)
@@ -188,18 +204,8 @@ def _cmd_reconstruct(args) -> int:
               f"final cost {report.final_cost:.12g}")
         return exit_code
 
-    def config(cls):
-        """``cls`` built from the flags given; the config checks their values."""
-        given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in given.items() if v is not None})
-
     try:
-        if args.method == "pgdb":
-            est, report = solve_pgdb(setup, counts, config(PgdbConfig))
-        elif args.method == "dia":
-            est, report = solve_dia(setup, counts, config(DiaConfig))
-        else:
-            est, report = solve_lifp(setup, counts)
+        est, report = _solve(args.method, setup, counts, args)
     except (ConvergenceError, StalledStepError) as err:
         if err.report is None or getattr(err, "last_iterate", None) is None:
             raise
@@ -212,16 +218,8 @@ def _cmd_project(args) -> int:
         print("error: --set us_p requires --p-success", file=sys.stderr)
         return 2
     mat, d, _ = io.load_choi(_read(args.in_file))
-    if args.target_set == "us_p":
-        projected = project_us_p(mat, args.p_success)
-    elif args.target_set == "cp":
-        projected = project_cp(mat)
-    elif args.target_set == "tp":
-        projected = project_tp(mat)
-    elif args.target_set == "tni":
-        projected = project_tni(mat)
-    else:
-        projected = project_cptp_dykstra(mat)
+    extra = (args.p_success,) if args.target_set == "us_p" else ()
+    projected = PROJECTIONS[args.target_set](mat, *extra)
     moved = float(np.linalg.norm(projected - mat))
     args.out.write_text(io.dump_choi(projected, d, {"projected_onto": args.target_set}))
     print(f"distance moved {moved:.12g}")
@@ -238,10 +236,7 @@ def _benchmark_trial(setup, n_samples, trial: int, base_seed: int,
            "seed": map_seed}
 
     def failed(method, err):
-        status = {
-            ConvergenceError: "iteration_cap",
-            StalledStepError: "stalled",
-        }.get(type(err), "error")
+        status = getattr(err, "status", "error")
         return io.benchmark_row(**key, method=method, status=status)
 
     try:
@@ -254,12 +249,7 @@ def _benchmark_trial(setup, n_samples, trial: int, base_seed: int,
     rows = []
     for method in methods:
         try:
-            if method == "pgdb":
-                est, report = solve_pgdb(setup, counts)
-            elif method == "dia":
-                est, report = solve_dia(setup, counts)
-            else:
-                est, report = solve_lifp(setup, counts)
+            est, report = _solve(method, setup, counts, flags=None)
             rows.append(io.benchmark_row(
                 **key, method=method, j_distance=j_distance(est, truth),
                 final_cost=report.final_cost, iterations=report.iterations,

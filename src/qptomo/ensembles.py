@@ -24,21 +24,23 @@ from .linalg import block_congruence, choi_dim, partial_trace_out, psd_sqrt_inv,
 #: Largest sample size the multinomial sampler takes.
 INT64_MAX = int(np.iinfo(np.int64).max)
 
-#: Byte budget of a dimension d. The largest array a solver builds is the dual
-#: Newton projection's d^2 x d^4 complex matrix, 16 d^6 bytes (256 MiB at
-#: d = 16), so d is checked against this bound where it enters, in
-#: ``EnsembleSpec`` and ``minimal_setup``, before anything is allocated.
+#: Byte budget of one array. The largest a solver builds is the dual Newton
+#: projection's d^2 x d^4 complex matrix, 16 d^6 bytes (256 MiB at d = 16); a
+#: random map draws a d^2 x M complex factor, 16 d^2 M bytes for Kraus rank M.
+#: Both are checked where they enter, before anything is allocated.
 MAX_DIM_BYTES = 1 << 30
+
+
+def _check_bytes(what: str, formula: str, need: int) -> None:
+    if need > MAX_DIM_BYTES:
+        raise DimensionError(f"{what} needs {formula} = {need:.3g} bytes, over the "
+                             f"bound MAX_DIM_BYTES = {MAX_DIM_BYTES}")
 
 
 def _check_dim(d: int) -> None:
     if d < 2:
         raise DomainError(f"dimension must be at least 2, got {d}")
-    if 16 * d**6 > MAX_DIM_BYTES:
-        raise DimensionError(
-            f"dimension {d} needs 16 d^6 = {16 * d**6:.3g} bytes, over the "
-            f"bound MAX_DIM_BYTES = {MAX_DIM_BYTES}"
-        )
+    _check_bytes(f"dimension {d}", "16 d^6", 16 * d**6)
 
 
 def _check_seed(seed: int) -> None:
@@ -60,6 +62,8 @@ class EnsembleSpec:
         _check_dim(self.d)
         if self.kraus_rank < 1:
             raise DomainError(f"Kraus rank must be at least 1, got {self.kraus_rank}")
+        _check_bytes(f"Kraus rank {self.kraus_rank} at d={self.d}", "16 d^2 M",
+                     16 * self.d**2 * self.kraus_rank)
         if self.kind not in ("full_rank", "quasi_pure"):
             raise DomainError(f"unknown ensemble kind {self.kind!r}")
         _check_seed(self.rng_seed)
@@ -116,23 +120,20 @@ def quasi_pure_weights(m: int, target_purity_sum: float) -> np.ndarray:
         w[0] = 1.0
         return w
 
-    def sq_sum(r: float) -> float:
+    def weights(r: float) -> np.ndarray:
         w = r ** np.arange(m)
-        w = w / w.sum()
-        return float((w**2).sum())
+        return w / w.sum()
 
     lo, hi = 1e-16, 1.0
     for _ in range(200):
         mid = (lo + hi) / 2
-        if sq_sum(mid) > target_purity_sum:
+        if (weights(mid) ** 2).sum() > target_purity_sum:
             lo = mid
         else:
             hi = mid
         if hi - lo < 1e-16:
             break
-    r = (lo + hi) / 2
-    w = r ** np.arange(m)
-    w = w / w.sum()
+    w = weights((lo + hi) / 2)
     if abs((w**2).sum() - target_purity_sum) > 1e-10:
         raise DomainError(f"weight solve failed for target {target_purity_sum}")
     return w
@@ -180,10 +181,11 @@ def simulate_counts(
 ) -> CountsTable:
     """Simulate normalized measurement frequencies for a CPTP map.
 
+    Probabilities below 1e-12 are set to 0, small positive ones as well as
+    rounding-scale negatives, and each row is then divided by its sum.
     Finite ``n_samples`` draws one multinomial sample per preparation over
-    the POVM outcomes; infinite mode sets the frequencies equal to the
-    forward probabilities. Rounding-scale negatives in the probabilities
-    are clipped before sampling.
+    the POVM outcomes, and the table holds k / N as drawn; infinite mode
+    sets the frequencies equal to those probabilities.
     """
     if not is_cptp(choi_true):
         raise DomainError("input map is not CPTP within tolerance")

@@ -29,8 +29,10 @@ class ConvergenceError(QptError):
     """An iteration cap was hit before the stopping rule fired.
 
     Carries the last iterate and diagnostics so callers can salvage a
-    best-effort result.
+    best-effort result. ``status`` names the failure in reports and CSV rows.
     """
+
+    status = "iteration_cap"
 
     def __init__(self, message, last_iterate=None, residual=None, report=None):
         super().__init__(message)
@@ -41,6 +43,8 @@ class ConvergenceError(QptError):
 
 class StalledStepError(QptError):
     """A line search (step size or dilution) found no acceptable step."""
+
+    status = "stalled"
 
     def __init__(self, message, last_iterate=None, report=None):
         super().__init__(message)

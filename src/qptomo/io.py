@@ -180,13 +180,9 @@ def load_counts(text: str) -> tuple[CountsTable, dict]:
     if not seen.all():
         i, j = np.argwhere(~seen)[0]
         raise DomainError(f"counts file has no row for cell ({i}, {j})")
-    table = CountsTable(n)  # validates finiteness and row normalization
-    # A row that sums to 1 up to rounding stays as written: dividing it by its
-    # sum again moves last bits, and load then dump would not give back the
-    # file that dump_counts wrote.
-    rounding = 4 * n_povm * np.finfo(float).eps
-    exact = (np.abs(n.sum(axis=1) - 1.0) <= rounding) & (n >= 0).all(axis=1)
-    table.n[exact] = n[exact]
+    # CountsTable validates the rows and keeps those normalized as written,
+    # so load then dump gives back the file that dump_counts wrote.
+    table = CountsTable(n)
     info = {"d": d, "n_prep": n_prep, "n_povm": n_povm, "N": n_samples, "seed": seed}
     return table, info
 

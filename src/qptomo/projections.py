@@ -299,7 +299,9 @@ def _project_cptp_dual(
     Returns (projection, multiplier, Newton steps); the projection is
     positive semidefinite to rounding and its TP residual is at most
     ``NEWTON_TOL``. Raises :class:`ConvergenceError` after
-    ``MAX_NEWTON_STEPS`` steps or when the line search finds no step.
+    ``MAX_NEWTON_STEPS`` steps or when the line search finds no step. The
+    tolerance is absolute, so it cannot be reached once eps ||C|| exceeds it
+    (||C|| >~ 5e3): such inputs raise, with the true TP residual as ``residual``.
     """
     d = choi_dim(c)
     c = hermitize(np.asarray(c, dtype=complex))

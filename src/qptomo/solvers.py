@@ -221,7 +221,7 @@ def _descend(
                 f"{report.method} hit the iteration cap ({cfg.max_outer_iterations})"
             )
     except (StalledStepError, ConvergenceError) as err:
-        status = "stalled" if isinstance(err, StalledStepError) else "iteration_cap"
+        status = err.status
         err.last_iterate, err.report = c, report
         raise
     finally:

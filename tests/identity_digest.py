@@ -2,11 +2,13 @@
 
 Runs pgdB, DIA and lifp at d = 2, 3, N in {1e3, 1e5, inf} and seeds 1, 2
 (a quasi-pure map and its counts both drawn with the seed, on the minimal
-setup) and prints one SHA-256 per solve. Each digest covers the estimate's
-bytes, ``cost_trace``, ``step_trace``, ``projection_steps``, the iteration
-count, the status, the conditioning herald, ``min_prob_seen`` and lifp's
-``pre_projection_*`` fields. A solve that raises is digested from the
-iterate and report its error carries.
+setup) and prints one SHA-256 per simulated counts table, over its bytes,
+and one per solve, so a change in the data path shows apart from a change
+in a solver. Each solve digest covers the estimate's bytes, ``cost_trace``,
+``step_trace``, ``projection_steps``, the iteration count, the status, the
+conditioning herald, ``min_prob_seen`` and lifp's ``pre_projection_*``
+fields. A solve that raises is digested from the iterate and report its
+error carries.
 
 Not collected by pytest. Run it once per tree, with one BLAS thread so
 that matmul results do not depend on the thread count, and diff the two
@@ -62,12 +64,14 @@ def main() -> None:
                     EnsembleSpec(d=d, kraus_rank=1, kind="quasi_pure", rng_seed=seed)
                 )
                 counts = simulate_counts(truth, setup, SimulationSpec(n_samples, seed))
+                n_str = "inf" if n_samples is None else str(n_samples)
+                print(f"counts d={d} N={n_str} seed={seed} "
+                      f"{hashlib.sha256(counts.n.tobytes()).hexdigest()}")
                 for method, solve in SOLVERS.items():
                     try:
                         estimate, report = solve(setup, counts)
                     except (ConvergenceError, StalledStepError) as err:
                         estimate, report = err.last_iterate, err.report
-                    n_str = "inf" if n_samples is None else str(n_samples)
                     print(f"{method} d={d} N={n_str} seed={seed} "
                           f"{digest(estimate, report)}")
 

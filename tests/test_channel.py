@@ -202,6 +202,16 @@ class TestCountsTable:
         t = CountsTable.from_raw(np.array([[3, 1], [2, 2]]))
         assert np.allclose(t.n, [[0.75, 0.25], [0.5, 0.5]])
 
+    def test_row_normalized_within_rounding_keeps_its_bits(self):
+        row = np.array([[0.7, 0.2, 0.1]])
+        assert row.sum() != 1.0  # off by rounding, which is no reason to divide
+        assert CountsTable(row).n.tobytes() == row.tobytes()
+
+    def test_from_raw_keeps_k_over_n(self):
+        raw = np.array([[7, 2, 1], [6, 3, 1]])
+        assert (raw / 10).sum(axis=1).tolist() != [1.0, 1.0]
+        assert CountsTable.from_raw(raw).n.tobytes() == (raw / 10).tobytes()
+
     def test_rejects_unnormalized(self):
         with pytest.raises(DomainError):
             CountsTable(np.array([[0.3, 0.3]]))

@@ -25,6 +25,14 @@ from qptomo import (
     SimulationSpec,
 )
 from qptomo.cli import _build_parser, main
+from qptomo.ensembles import MAX_DIM_BYTES
+from qptomo.projections import (
+    project_cp,
+    project_cptp_dykstra,
+    project_tni,
+    project_tp,
+    project_us_p,
+)
 from qptomo.solvers import DiaConfig, PgdbConfig, solve_dia, solve_pgdb
 
 C_BOX = np.diag([0.1, 0.1, 0.1, 1.7]).astype(complex)
@@ -478,6 +486,18 @@ class TestProject:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("target, project", [
+        ("cptp", project_cptp_dykstra), ("cp", project_cp), ("tp", project_tp),
+        ("tni", project_tni), ("us_p", lambda m: project_us_p(m, 0.5)),
+    ])
+    def test_each_set_writes_its_projection(self, tmp_path, target, project):
+        infile, outfile = tmp_path / "in.json", tmp_path / "out.json"
+        write_choi(infile, C_BOX, 2)
+        assert run("project", "--in", infile, "--set", target, "--p-success", 0.5,
+                   "--out", outfile) == 0
+        assert outfile.read_text() == qio.dump_choi(project(C_BOX), 2,
+                                                    {"projected_onto": target})
+
     def test_us_p_requires_p_success(self, tmp_path):
         infile = tmp_path / "in.json"
         write_choi(infile, C_BOX, 2)
@@ -581,13 +601,27 @@ def run_capped(*argv):
                           capture_output=True, text=True, timeout=120)
 
 
+#: The largest Kraus rank at d = 2 that the byte bound admits: its 1 GiB complex
+#: draw passes every entry check and cannot fit under ``run_capped``'s cap.
+TOP_RANK_D2 = MAX_DIM_BYTES // (16 * 2**2)
+
+
 def test_out_of_memory_exits_1(tmp_path):
-    # d = 2 is within the dimension bound; the 4 x 10^8 Gaussian draw is not.
-    proc = run_capped("gen-map", "--d", 2, "--kind", "full", "--kraus-rank", 10**8,
-                      "--out", tmp_path / "m.json")
+    proc = run_capped("gen-map", "--d", 2, "--kind", "full",
+                      "--kraus-rank", TOP_RANK_D2, "--out", tmp_path / "m.json")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: out of memory")
     assert "Traceback" not in proc.stderr
+
+
+def test_kraus_rank_over_the_byte_bound_exits_1(tmp_path):
+    out = tmp_path / "m.json"
+    proc = run_capped("gen-map", "--d", 2, "--kind", "full", "--kraus-rank", 10**8,
+                      "--out", out)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: Kraus rank 100000000")
+    assert "MAX_DIM_BYTES" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,6 +21,7 @@ from qptomo import (
     random_quasi_pure,
     simulate_counts,
 )
+from qptomo.ensembles import MAX_DIM_BYTES
 from reference import design_condition_number
 
 # frozen regression value for the d=2 minimal setup (computed once via SVD)
@@ -55,6 +56,13 @@ class TestRandomCptp:
         spec = EnsembleSpec(d=2, kraus_rank=1, kind="quasi_pure")
         with pytest.raises(DomainError):
             random_cptp(spec)
+
+    def test_kraus_rank_over_the_byte_bound_rejected(self):
+        # The d^2 x M complex draw takes 16 d^2 M bytes; no draw is made here.
+        top = MAX_DIM_BYTES // (16 * 4)
+        assert EnsembleSpec(d=2, kraus_rank=top).kraus_rank == top
+        with pytest.raises(DimensionError, match="Kraus rank .* MAX_DIM_BYTES"):
+            EnsembleSpec(d=2, kraus_rank=top + 1)
 
 
 class TestQuasiPure:
@@ -138,6 +146,19 @@ class TestSimulateCounts:
         assert np.abs(counts.n.sum(axis=1) - 1.0).max() < 1e-12
         scaled = counts.n * 1000
         assert np.abs(scaled - scaled.round()).max() < 1e-9  # integer counts
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_finite_tables_hold_the_drawn_fractions(self, d):
+        # k / N as drawn, not divided again by a row sum that rounds off 1.
+        setup = minimal_setup(d)
+        for seed in range(1, 6):
+            c = random_quasi_pure(
+                EnsembleSpec(d=d, kraus_rank=1, kind="quasi_pure", rng_seed=seed))
+            for n in (1000, 100000):
+                counts = simulate_counts(c, setup, SimulationSpec(n, rng_seed=seed))
+                k = np.rint(counts.n * n)
+                assert (k.sum(axis=1) == n).all()
+                assert np.array_equal(counts.n, k / n), (seed, n)
 
     def test_reproducible(self, setup2):
         c = random_cptp(EnsembleSpec(d=2, kraus_rank=4, rng_seed=8))

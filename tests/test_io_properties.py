@@ -9,7 +9,11 @@ tree, and the draws are derandomized, so every run checks the same inputs.
 
 import contextlib
 import io
+import shutil
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,3 +162,28 @@ def test_cli_on_any_input_exits_0_or_1_with_an_error_line(workdir, data):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main([str(a) for a in [*argv, "--out", out]])
         assert code == 0 or (code == 1 and err.getvalue().startswith("error:")), argv
+
+
+FAILING_PROPERTY = """\
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers(0, 10))
+def test_must_fail(x):
+    assert x < 5
+"""
+
+
+def test_failing_property_ends_the_run_with_exit_1(tmp_path):
+    # Under this repository's warning filters a falsified property is a test
+    # failure (exit 1), not an internal error (exit 3) raised while the
+    # Hypothesis plugin writes its patch file.
+    shutil.copy(Path(__file__).parents[1] / "pyproject.toml", tmp_path)
+    (tmp_path / "test_falsified.py").write_text(FAILING_PROPERTY)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "test_falsified.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout[-2000:]
+    assert "Falsifying example" in proc.stdout and "INTERNALERROR" not in proc.stdout

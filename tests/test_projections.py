@@ -388,6 +388,17 @@ class TestDualNewton:
         assert excinfo.value.last_iterate is not None
         assert excinfo.value.residual > projections.NEWTON_TOL
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_far_input_raises_with_its_true_residual(self, d):
+        # NEWTON_TOL is absolute: at Frobenius norm 1e5, eps ||C|| is above it.
+        c = random_hermitian(np.random.default_rng(730 + d), d * d, scale=1e5)
+        with pytest.raises(ConvergenceError) as excinfo:
+            _project_cptp_dual(c)
+        err = excinfo.value
+        true = np.linalg.norm(partial_trace_out(err.last_iterate) - np.eye(d))
+        assert err.residual > projections.NEWTON_TOL
+        assert err.residual == pytest.approx(true, rel=1e-4)
+
 
 class TestScalarMultiplier:
     """The cold start -alpha I, the best multiple of the identity for theta."""
