@@ -39,11 +39,8 @@ def choi_from_kraus(kraus) -> np.ndarray:
     for k in kraus:
         if k.shape != (d, d):
             raise DimensionError(f"Kraus operators must all be {d}x{d}, got {k.shape}")
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for k in kraus:
-        v = vec(k)
-        c += np.outer(v, v.conj())
-    return hermitize(c)
+    x = np.column_stack([vec(k) for k in kraus])
+    return hermitize(x @ x.conj().T)
 
 
 def identity_choi(d: int) -> np.ndarray:

@@ -214,11 +214,13 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    if args.target_set == "us_p" and args.p_success is None:
-        print("error: --set us_p requires --p-success", file=sys.stderr)
+    us_p = args.target_set == "us_p"
+    if us_p != (args.p_success is not None):
+        print("error: --set us_p takes --p-success, and no other set does",
+              file=sys.stderr)
         return 2
     mat, d, _ = io.load_choi(_read(args.in_file))
-    extra = (args.p_success,) if args.target_set == "us_p" else ()
+    extra = (args.p_success,) if us_p else ()
     projected = PROJECTIONS[args.target_set](mat, *extra)
     moved = float(np.linalg.norm(projected - mat))
     args.out.write_text(io.dump_choi(projected, d, {"projected_onto": args.target_set}))

@@ -95,19 +95,6 @@ def psd_sqrt_inv(x: np.ndarray) -> np.ndarray:
     return hermitize((v * w**-0.5) @ v.conj().T)
 
 
-def block_congruence(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Hermitian part of (M (x) I) X (M (x) I) for Hermitian d x d M, d^2 x d^2 X.
-
-    M (x) I acts on the input factor, so left-multiplying X by it is one
-    d x d^3 matmul on the (d, d^3) view of X; the right factor is the left
-    one applied to the adjoint. No Kronecker product is formed.
-    """
-    d = m.shape[0]
-    n = d * d
-    y = (m @ x.reshape(d, -1)).reshape(n, n)
-    return hermitize((m @ y.conj().T.reshape(d, -1)).reshape(n, n))
-
-
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Real Frobenius inner product Re Tr(A^dagger B)."""
     return float(np.vdot(a, b).real)

@@ -25,14 +25,7 @@ from .channel import (
     tp_distance,
 )
 from .errors import ConvergenceError, DomainError, StalledStepError
-from .linalg import (
-    block_congruence,
-    eigvalsh,
-    frobenius_inner,
-    hermitize,
-    partial_trace_out,
-    psd_sqrt_inv,
-)
+from .linalg import choi_dim, eigvalsh, frobenius_inner, hermitize, psd_sqrt_inv
 from .projections import _project_cptp_dual, _scalar_multiplier
 
 
@@ -290,27 +283,32 @@ def solve_dia(
     Iterates the extremal-equation update built from the positive operator
     G = -grad f (the gradient of the negative log-likelihood is negative
     semidefinite, so the dilution R = eps G + (1 - eps) I stays positive
-    semidefinite and the congruence preserves positivity):
+    semidefinite and the congruence preserves positivity). The solver keeps
+    a factor X of its iterate C = X X^dagger, starting from I / sqrt(d):
 
         R = eps G + (1 - eps) I
-        W = Tr_out(R C R)
-        C' = (W^{-1/2} (x) I) R C R (W^{-1/2} (x) I)
+        W = Tr_out(R C R) = Y Y^dagger,  Y the (d, d^3) view of R X
+        X' = (W^{-1/2} (x) I) R X
 
-    The normalization by W keeps every iterate trace preserving; W^{-1/2}
-    (x) I is applied blockwise, without forming the Kronecker product. eps
-    is reset to 1 each outer iteration and halved until the cost decreases.
+    so C' = X' X'^dagger is R C R normalized to be trace preserving, with
+    one-sided products only. eps is reset to 1 each outer iteration and
+    halved until the cost decreases.
     """
     cfg = config or DiaConfig()
     cost = _Cost(setup, counts)
+    x = np.eye(setup.d**2, dtype=complex) / math.sqrt(setup.d)
 
     def step(c, p_c, f_c):
+        nonlocal x
         g = -cost.gradient_from_probs(p_c)
         epsilon = 1.0
         while True:
-            c_new = _dia_update(c, g, epsilon)
+            x_new = _dia_update(x, g, epsilon)
+            c_new = hermitize(x_new @ x_new.conj().T)
             p_new = cost.probs(c_new)
             f_new = cost.from_probs(p_new)
             if f_new <= f_c:
+                x = x_new
                 return c_new, p_new, f_new, epsilon
             epsilon *= 0.5
             if epsilon < MIN_EPSILON:
@@ -319,15 +317,18 @@ def solve_dia(
     return _descend(cost, SolverReport(method="dia"), cfg, step)
 
 
-def _dia_update(c: np.ndarray, g: np.ndarray, epsilon: float) -> np.ndarray:
-    """One diluted step: R C R normalized by (W^{-1/2} (x) I), W = Tr_out(R C R).
+def _dia_update(x: np.ndarray, g: np.ndarray, epsilon: float) -> np.ndarray:
+    """One diluted step on a factor: (W^{-1/2} (x) I) R X, W = Y Y^dagger.
 
-    At epsilon = 1, the step DIA tries first and almost always accepts, R is
-    G itself, with no identity to build and no scalings.
+    Y is the (d, d^3) view of R X, on which W^{-1/2} (x) I acts as one
+    d x d matmul, and Y Y^dagger = Tr_out(R X X^dagger R). At epsilon = 1,
+    the step DIA tries first and almost always accepts, R is G itself, with
+    no identity to build and no scalings.
     """
-    r = g if epsilon == 1.0 else epsilon * g + (1.0 - epsilon) * np.eye(len(g))
-    rcr = r @ c @ r
-    return block_congruence(psd_sqrt_inv(partial_trace_out(rcr)), rcr)
+    d = choi_dim(g)
+    r = g if epsilon == 1.0 else epsilon * g + (1.0 - epsilon) * np.eye(d * d)
+    y = (r @ x).reshape(d, -1)
+    return (psd_sqrt_inv(y @ y.conj().T) @ y).reshape(d * d, -1)
 
 
 def solve_linear_inversion(

@@ -8,7 +8,10 @@ in a solver. Each solve digest covers the estimate's bytes, ``cost_trace``,
 ``step_trace``, ``projection_steps``, the iteration count, the status, the
 conditioning herald, ``min_prob_seen`` and lifp's ``pre_projection_*``
 fields. A solve that raises is digested from the iterate and report its
-error carries.
+error carries. Beside each digest the line also prints the iteration
+count, the status, the final cost and the J distance to the true map, to
+17 significant digits, so that a change that moves bits on purpose can be
+compared by value.
 
 Not collected by pytest. Run it once per tree, with one BLAS thread so
 that matmul results do not depend on the thread count, and diff the two
@@ -26,6 +29,7 @@ from qptomo import (
     EnsembleSpec,
     SimulationSpec,
     StalledStepError,
+    j_distance,
     minimal_setup,
     random_quasi_pure,
     simulate_counts,
@@ -73,7 +77,9 @@ def main() -> None:
                     except (ConvergenceError, StalledStepError) as err:
                         estimate, report = err.last_iterate, err.report
                     print(f"{method} d={d} N={n_str} seed={seed} "
-                          f"{digest(estimate, report)}")
+                          f"{digest(estimate, report)} it={report.iterations} "
+                          f"{report.status} f={report.final_cost:.17g} "
+                          f"J={j_distance(estimate, truth):.17g}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@
   but not its closest point, checked against Dykstra.
 * ``dia_update_kron`` and ``dia_trials_kron``: the DIA step with
   W^{-1/2} (x) I formed by ``kron`` and the dilution loop around it,
-  checked against the blockwise congruence the solver uses.
+  checked against the one-sided factor update the solver uses.
 * ``linear_inversion_dense``: minimum-norm least squares on the dense
   design, checked against the Kronecker-factored inversion.
 * ``dykstra_textbook``: Dykstra's loop with the full d^2 x d^2 TP

@@ -493,7 +493,8 @@ class TestProject:
     def test_each_set_writes_its_projection(self, tmp_path, target, project):
         infile, outfile = tmp_path / "in.json", tmp_path / "out.json"
         write_choi(infile, C_BOX, 2)
-        assert run("project", "--in", infile, "--set", target, "--p-success", 0.5,
+        flag = ("--p-success", 0.5) if target == "us_p" else ()
+        assert run("project", "--in", infile, "--set", target, *flag,
                    "--out", outfile) == 0
         assert outfile.read_text() == qio.dump_choi(project(C_BOX), 2,
                                                     {"projected_onto": target})
@@ -503,6 +504,15 @@ class TestProject:
         write_choi(infile, C_BOX, 2)
         assert run("project", "--in", infile, "--set", "us_p",
                    "--out", tmp_path / "out.json") == 2
+
+    @pytest.mark.parametrize("target", ["cptp", "cp", "tp", "tni"])
+    def test_p_success_rejected_outside_us_p(self, tmp_path, capsys, target):
+        infile, outfile = tmp_path / "in.json", tmp_path / "out.json"
+        write_choi(infile, C_BOX, 2)
+        assert run("project", "--in", infile, "--set", target, "--p-success", 0.5,
+                   "--out", outfile) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not outfile.exists()
 
 
 class TestBenchmark:
@@ -601,9 +611,9 @@ def run_capped(*argv):
                           capture_output=True, text=True, timeout=120)
 
 
-#: The largest Kraus rank at d = 2 that the byte bound admits: its 1 GiB complex
-#: draw passes every entry check and cannot fit under ``run_capped``'s cap.
-TOP_RANK_D2 = MAX_DIM_BYTES // (16 * 2**2)
+#: The largest Kraus rank at d = 2 that the byte bound admits: its 1 GiB draw
+#: passes every entry check and cannot fit under ``run_capped``'s cap.
+TOP_RANK_D2 = MAX_DIM_BYTES // (33 * 2**2)
 
 
 def test_out_of_memory_exits_1(tmp_path):

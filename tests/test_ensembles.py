@@ -1,8 +1,11 @@
 """Random map generation, the minimal setup, data simulation and metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qptomo import ensembles
 from qptomo import (
     CountsTable,
     DimensionError,
@@ -16,6 +19,7 @@ from qptomo import (
     j_distance,
     minimal_setup,
     partial_trace_out,
+    psd_sqrt_inv,
     quasi_pure_weights,
     random_cptp,
     random_quasi_pure,
@@ -58,11 +62,38 @@ class TestRandomCptp:
             random_cptp(spec)
 
     def test_kraus_rank_over_the_byte_bound_rejected(self):
-        # The d^2 x M complex draw takes 16 d^2 M bytes; no draw is made here.
-        top = MAX_DIM_BYTES // (16 * 4)
+        # The draw is charged its peak, 33 d^2 M bytes; no draw is made here.
+        top = MAX_DIM_BYTES // (33 * 4)
         assert EnsembleSpec(d=2, kraus_rank=top).kraus_rank == top
         with pytest.raises(DimensionError, match="Kraus rank .* MAX_DIM_BYTES"):
             EnsembleSpec(d=2, kraus_rank=top + 1)
+
+    def test_kraus_rank_charge_covers_the_draw_peak(self, monkeypatch):
+        # A budget one byte under the draw's measured peak must refuse the spec.
+        # The small draw first keeps numpy.random's lazy imports out of the peak.
+        random_cptp(EnsembleSpec(d=2, kraus_rank=2, rng_seed=5))
+        spec = EnsembleSpec(d=2, kraus_rank=200_000, rng_seed=5)
+        tracemalloc.start()
+        try:
+            random_cptp(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(ensembles, "MAX_DIM_BYTES", peak - 1)
+        with pytest.raises(DimensionError, match="Kraus rank 200000 .* MAX_DIM_BYTES"):
+            EnsembleSpec(d=2, kraus_rank=200_000)
+
+    def test_draw_normalizes_through_psd_sqrt_inv(self, monkeypatch):
+        # perfbench counts linalg.psd_sqrt_inv_calls under this name.
+        calls = []
+
+        def counting(x):
+            calls.append(x.shape)
+            return psd_sqrt_inv(x)
+
+        monkeypatch.setattr(ensembles, "psd_sqrt_inv", counting)
+        random_cptp(EnsembleSpec(d=3, kraus_rank=4, rng_seed=6))
+        assert calls == [(3, 3)]
 
 
 class TestQuasiPure:

@@ -22,9 +22,8 @@ from qptomo import (
     trace_norm,
     vec,
 )
-from qptomo.linalg import block_congruence
 from qptomo.projections import _project_cptp_dual
-from qptomo.solvers import solve_linear_inversion
+from qptomo.solvers import _dia_update, solve_linear_inversion
 from conftest import random_hermitian
 from reference import partial_trace_in, vec_inv
 
@@ -210,11 +209,14 @@ class TestPsdSqrtInv:
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_block_congruence_matches_kron(d):
-    m = random_hermitian(RNG, d)
-    x = random_hermitian(RNG, d * d)
-    s = kron(m, np.eye(d))
-    assert np.abs(block_congruence(m, x) - s @ x @ s).max() < 1e-13
+def test_one_sided_update_matches_kron(d):
+    # DIA's factor update (W^{-1/2} (x) I) R X, W = Tr_out(R X X^dagger R),
+    # against the explicit Kronecker product.
+    r = random_hermitian(RNG, d * d)
+    x = crandom(d * d, d * d)
+    rx = r @ x
+    s = kron(psd_sqrt_inv(partial_trace_out(rx @ rx.conj().T)), np.eye(d))
+    assert np.abs(_dia_update(x, r, 1.0) - s @ rx).max() < 1e-13
 
 
 def rebuild_setup(setup):

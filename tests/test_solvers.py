@@ -19,6 +19,7 @@ from qptomo import (
     cptp_residuals,
     forward_probs,
     gradient,
+    hermitize,
     is_cptp,
     j_distance,
     kron,
@@ -36,7 +37,6 @@ from qptomo import (
     vec,
 )
 from qptomo import projections, solvers
-from qptomo.linalg import block_congruence
 from qptomo.channel import EPS_CP
 from qptomo.solvers import DiaConfig, PgdbConfig
 from reference import (
@@ -69,6 +69,16 @@ def overcomplete_setup():
     norm = psd_sqrt_inv(sum(gram))
     povm = [e / 2 for e in base.povm] + [norm @ g @ norm / 2 for g in gram]
     return TomographySetup([*base.preparations, *states], povm)
+
+
+def factor(c):
+    """A factor X of a PSD matrix C = X X^dagger, from its eigendecomposition."""
+    w, v = np.linalg.eigh(c)
+    return v * np.sqrt(np.clip(w, 0.0, None))
+
+
+def gram(x):
+    return hermitize(x @ x.conj().T)
 
 
 def two_preparation_setup():
@@ -254,10 +264,10 @@ class TestDia:
         update = solvers._dia_update
         accepted = []
 
-        def regressing(c, g, epsilon):
+        def regressing(x, g, epsilon):
             if len(accepted) == 3:
-                return np.eye(4, dtype=complex) / 2
-            accepted.append(update(c, g, epsilon))
+                return np.eye(4, dtype=complex) / np.sqrt(2)
+            accepted.append(update(x, g, epsilon))
             return accepted[-1]
 
         monkeypatch.setattr(solvers, "_dia_update", regressing)
@@ -265,7 +275,7 @@ class TestDia:
             solve_dia(setup2, noisy_data[1])
         report = excinfo.value.report
         assert report.status == "stalled"
-        assert excinfo.value.last_iterate is accepted[-1]
+        assert np.array_equal(excinfo.value.last_iterate, gram(accepted[-1]))
         assert report.cost_trace.dtype == np.float64
         assert report.step_trace.dtype == np.float64
         assert len(report.cost_trace) == report.iterations + 1 == 4
@@ -283,22 +293,23 @@ class TestDia:
         truth = quasi_pure(3, seed=21)
         counts = simulate_counts(truth, setup3, SimulationSpec(1000, rng_seed=21))
         start = random_cptp(EnsembleSpec(d=3, kraus_rank=2, rng_seed=21))
-        for c in (np.eye(9, dtype=complex) / 3, start):
+        for x in (np.eye(9, dtype=complex) / np.sqrt(3), factor(start)):
+            c = gram(x)
             g = -gradient(c, setup3, counts)
-            expected = dia_update_kron(c, g, epsilon)
-            assert np.abs(solvers._dia_update(c, g, epsilon) - expected).max() < 1e-12
+            update = gram(solvers._dia_update(x, g, epsilon))
+            assert np.abs(update - dia_update_kron(c, g, epsilon)).max() < 1e-12
 
     def test_unit_dilution_is_the_general_formula_exactly(self, setup3):
         # At epsilon = 1 the update uses G as R; the general
         # R = eps G + (1 - eps) I gives the same bits there.
         counts = simulate_counts(quasi_pure(3, seed=23), setup3, SimulationSpec(None))
         start = random_cptp(EnsembleSpec(d=3, kraus_rank=2, rng_seed=23))
-        for c in (np.eye(9, dtype=complex) / 3, start):
-            g = -gradient(c, setup3, counts)
+        for x in (np.eye(9, dtype=complex) / np.sqrt(3), factor(start)):
+            g = -gradient(gram(x), setup3, counts)
             r = 1.0 * g + (1.0 - 1.0) * np.eye(9)
-            rcr = r @ c @ r
-            expected = block_congruence(psd_sqrt_inv(partial_trace_out(rcr)), rcr)
-            assert np.array_equal(solvers._dia_update(c, g, 1.0), expected)
+            y = (r @ x).reshape(3, -1)
+            expected = (psd_sqrt_inv(y @ y.conj().T) @ y).reshape(9, -1)
+            assert np.array_equal(gram(solvers._dia_update(x, g, 1.0)), gram(expected))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_first_iterates_match_kron_loop(self, d, monkeypatch):
@@ -307,10 +318,10 @@ class TestDia:
         update = solvers._dia_update
         trials = []
 
-        def recording(c, g, epsilon):
-            c_new = update(c, g, epsilon)
-            trials.append((epsilon, c_new))
-            return c_new
+        def recording(x, g, epsilon):
+            x_new = update(x, g, epsilon)
+            trials.append((epsilon, gram(x_new)))
+            return x_new
 
         monkeypatch.setattr(solvers, "_dia_update", recording)
         with pytest.raises(ConvergenceError):
@@ -319,6 +330,20 @@ class TestDia:
         assert [e for e, _ in trials] == [e for e, _ in expected]
         gaps = [np.abs(a - b).max() for (_, a), (_, b) in zip(trials, expected)]
         assert max(gaps) < 1e-12
+
+    def test_one_normalization_per_trial_update(self, setup2, noisy_data, monkeypatch):
+        # perfbench counts linalg.psd_sqrt_inv_calls under this name.
+        calls = []
+
+        def counting(w):
+            calls.append(w.shape)
+            return psd_sqrt_inv(w)
+
+        monkeypatch.setattr(solvers, "psd_sqrt_inv", counting)
+        _, report = solve_dia(setup2, noisy_data[1])
+        trials = sum(1 - np.log2(report.step_trace))
+        assert report.iterations > 0
+        assert calls == [(2, 2)] * round(trials)
 
 
 class TestLinearInversion:
