@@ -1,15 +1,14 @@
-"""Maximum-likelihood quantum process tomography with CPTP projections."""
+"""Maximum-likelihood quantum process tomography with CPTP projections.
+
+The top level is the public API; helpers such as ``channel.build_design``
+or ``linalg.eigh`` are imported from their modules.
+"""
 
 from .channel import (
     CountsTable,
     TomographySetup,
-    apply_channel,
-    build_design,
     choi_from_kraus,
-    condition_probs,
     cptp_residuals,
-    forward_probs,
-    identity_choi,
     is_cptp,
 )
 from .ensembles import (
@@ -17,7 +16,6 @@ from .ensembles import (
     SimulationSpec,
     j_distance,
     minimal_setup,
-    quasi_pure_weights,
     random_cptp,
     random_quasi_pure,
     simulate_counts,
@@ -31,16 +29,6 @@ from .errors import (
     SingularMatrixError,
     StalledStepError,
 )
-from .linalg import (
-    eigh,
-    frobenius_inner,
-    hermitize,
-    kron,
-    partial_trace_out,
-    psd_sqrt_inv,
-    trace_norm,
-    vec,
-)
 from .projections import (
     project_cp,
     project_cptp_dykstra,
@@ -52,7 +40,6 @@ from .solvers import (
     DiaConfig,
     PgdbConfig,
     SolverReport,
-    gradient,
     neg_log_likelihood,
     solve_dia,
     solve_lifp,

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, DomainError, LapackError
-from .linalg import eigvalsh, hermitize, kron, partial_trace_out, vec
+from .linalg import eigvalsh, hermitize, kron, partial_trace_out
 
 #: CPTP acceptance tolerances: smallest admissible eigenvalue and largest
 #: admissible Frobenius distance of the output partial trace from identity.
@@ -39,29 +39,8 @@ def choi_from_kraus(kraus) -> np.ndarray:
     for k in kraus:
         if k.shape != (d, d):
             raise DimensionError(f"Kraus operators must all be {d}x{d}, got {k.shape}")
-    x = np.column_stack([vec(k) for k in kraus])
+    x = np.column_stack([k.reshape(-1, order="F") for k in kraus])
     return hermitize(x @ x.conj().T)
-
-
-def identity_choi(d: int) -> np.ndarray:
-    """Choi operator of the identity channel (rank 1, trace d)."""
-    return choi_from_kraus([np.eye(d)])
-
-
-def apply_channel(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Act on a state: Tr_in[(rho^T (x) I) C].
-
-    The output entry (x, y) is sum_ab rho[b, a] C[(b, x), (a, y)], one
-    einsum on the (in, out, in', out') view of C.
-    """
-    rho = np.asarray(rho)
-    d = rho.shape[0]
-    if rho.shape != (d, d):
-        raise DimensionError(f"state must be square, got {rho.shape}")
-    choi = np.asarray(choi)
-    if choi.shape != (d * d, d * d):
-        raise DimensionError(f"Choi shape {choi.shape} does not match d={d}")
-    return np.einsum("ba,bxay->xy", rho, choi.reshape(d, d, d, d))
 
 
 def tp_distance(choi: np.ndarray) -> float:
@@ -156,7 +135,7 @@ def build_design(setup: TomographySetup) -> np.ndarray:
     r = 0
     for rho in setup.preparations:
         for e in setup.povm:
-            rows[r] = vec(kron(rho, e.T))
+            rows[r] = kron(rho, e.T).reshape(-1, order="F")
             r += 1
     return rows
 

@@ -1,8 +1,7 @@
 """Complex dense linear algebra primitives used throughout the package.
 
-Vectorization is column-stacking: ``vec([[a, b], [c, d]]) == (a, c, b, d)``.
-All operators acting on vectorized matrices (the trace-out map, the design
-matrix) are built against this convention and cross-checked in the tests.
+Vectorization is column-stacking, ``x.reshape(-1, order="F")``; the design
+matrix and the Kraus-to-Choi map are built against it.
 """
 
 from __future__ import annotations
@@ -16,14 +15,6 @@ kron = np.kron
 
 #: Eigenvalue floor below which :func:`psd_sqrt_inv` calls a matrix singular.
 TOL_PD = 1e-12
-
-
-def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a 1-D vector."""
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise DimensionError(f"vec expects a matrix, got ndim={x.ndim}")
-    return x.reshape(-1, order="F")
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:
@@ -93,8 +84,3 @@ def psd_sqrt_inv(x: np.ndarray) -> np.ndarray:
             f"matrix not positive definite: min eigenvalue {w.min():.3e} <= {TOL_PD:g}"
         )
     return hermitize((v * w**-0.5) @ v.conj().T)
-
-
-def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Real Frobenius inner product Re Tr(A^dagger B)."""
-    return float(np.vdot(a, b).real)

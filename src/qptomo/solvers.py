@@ -25,7 +25,7 @@ from .channel import (
     tp_distance,
 )
 from .errors import ConvergenceError, DomainError, StalledStepError
-from .linalg import choi_dim, eigvalsh, frobenius_inner, hermitize, psd_sqrt_inv
+from .linalg import choi_dim, eigvalsh, hermitize, psd_sqrt_inv
 from .projections import _project_cptp_dual, _scalar_multiplier
 
 
@@ -256,7 +256,7 @@ def solve_pgdb(
             raise ConvergenceError(msg, residual=err.residual) from err
         report.projection_steps.append(steps)
         direction = proj - c
-        slope = frobenius_inner(direction, grad)
+        slope = float(np.vdot(direction, grad).real)
         if slope >= 0.0:
             # Numerically stationary: the projected step does not descend.
             return None

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qptomo import EnsembleSpec, hermitize, minimal_setup, random_cptp
+from qptomo import EnsembleSpec, minimal_setup, random_cptp
+from qptomo.linalg import hermitize
 
 
 def random_hermitian(rng, n, scale=None):

@@ -1,7 +1,12 @@
 """Reference implementations that exist only to check the package.
 
-* ``vec_inv``: the inverse of column-stacking ``vec``, which the dense
-  references use to read a vectorized Choi operator back as a matrix.
+* ``vec`` and ``vec_inv``: column-stacking vectorization and its inverse,
+  which the dense references use to write a Choi operator as a vector and
+  read it back; the package inlines ``reshape(-1, order="F")``.
+* ``frobenius_inner``: Re Tr(A^dagger B), which pgdB's slope inlines.
+* ``identity_choi`` and ``apply_channel``: the identity channel and a
+  channel's action on a state, which the tests use to build and check
+  maps; the package has no caller for them.
 * ``partial_trace_in``: the trace over the input factor, checked against
   ``partial_trace_out``; the package itself only traces out the output.
 * ``m_operator`` and ``project_tp_m_form``: the TP / US_p projection in its
@@ -33,19 +38,22 @@ from qptomo import (
     DimensionError,
     SingularMatrixError,
     DomainError,
-    build_design,
-    hermitize,
-    kron,
-    partial_trace_out,
+    choi_from_kraus,
     project_cp,
     project_tp,
-    psd_sqrt_inv,
-    vec,
 )
-from qptomo.channel import EPS_CP, EPS_TP, tp_distance
-from qptomo.linalg import choi_dim
+from qptomo.channel import EPS_CP, EPS_TP, build_design, tp_distance
+from qptomo.linalg import choi_dim, hermitize, kron, partial_trace_out, psd_sqrt_inv
 from qptomo.projections import MAX_INNER_ITERATIONS
 from qptomo.solvers import _Cost
+
+
+def vec(x: np.ndarray) -> np.ndarray:
+    """Column-stack a matrix into a 1-D vector."""
+    x = np.asarray(x)
+    if x.ndim != 2:
+        raise DimensionError(f"vec expects a matrix, got ndim={x.ndim}")
+    return x.reshape(-1, order="F")
 
 
 def vec_inv(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
@@ -58,6 +66,32 @@ def vec_inv(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
     if v.size != rows * cols:
         raise DimensionError(f"length {v.size} != {rows})x({cols}")
     return v.reshape((rows, cols), order="F")
+
+
+def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Real Frobenius inner product Re Tr(A^dagger B)."""
+    return float(np.vdot(a, b).real)
+
+
+def identity_choi(d: int) -> np.ndarray:
+    """Choi operator of the identity channel (rank 1, trace d)."""
+    return choi_from_kraus([np.eye(d)])
+
+
+def apply_channel(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Act on a state: Tr_in[(rho^T (x) I) C].
+
+    The output entry (x, y) is sum_ab rho[b, a] C[(b, x), (a, y)], one
+    einsum on the (in, out, in', out') view of C.
+    """
+    rho = np.asarray(rho)
+    d = rho.shape[0]
+    if rho.shape != (d, d):
+        raise DimensionError(f"state must be square, got {rho.shape}")
+    choi = np.asarray(choi)
+    if choi.shape != (d * d, d * d):
+        raise DimensionError(f"Choi shape {choi.shape} does not match d={d}")
+    return np.einsum("ba,bxay->xy", rho, choi.reshape(d, d, d, d))
 
 
 def partial_trace_in(c: np.ndarray) -> np.ndarray:

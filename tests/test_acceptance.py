@@ -12,21 +12,14 @@ from qptomo import (
     EnsembleSpec,
     SimulationSpec,
     choi_from_kraus,
-    build_design,
-    condition_probs,
-    forward_probs,
-    gradient,
     is_cptp,
     j_distance,
-    kron,
     minimal_setup,
     neg_log_likelihood,
-    partial_trace_out,
     project_cptp_dykstra,
     project_tni,
     project_tp,
     project_us_p,
-    quasi_pure_weights,
     random_cptp,
     random_quasi_pure,
     simulate_counts,
@@ -34,12 +27,14 @@ from qptomo import (
     solve_lifp,
     solve_linear_inversion,
     solve_pgdb,
-    vec,
 )
+from qptomo.channel import build_design, condition_probs, forward_probs
 from qptomo.cli import main as cli_main
-from qptomo.solvers import DiaConfig, PgdbConfig
+from qptomo.ensembles import quasi_pure_weights
+from qptomo.linalg import kron, partial_trace_out
+from qptomo.solvers import DiaConfig, PgdbConfig, gradient
 from conftest import cptp_pool, random_hermitian
-from reference import design_condition_number
+from reference import design_condition_number, vec
 from test_projections import constrained_lsq_oracle, tni_diagonal_oracle
 
 C_BOX = np.diag([0.1, 0.1, 0.1, 1.7]).astype(complex)

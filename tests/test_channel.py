@@ -10,25 +10,18 @@ from qptomo import (
     EnsembleSpec,
     SimulationSpec,
     TomographySetup,
-    apply_channel,
-    build_design,
     choi_from_kraus,
-    condition_probs,
-    forward_probs,
-    gradient,
-    hermitize,
-    identity_choi,
-    kron,
     minimal_setup,
     neg_log_likelihood,
-    partial_trace_out,
     random_cptp,
     random_quasi_pure,
     simulate_counts,
-    vec,
 )
+from qptomo.channel import build_design, condition_probs, forward_probs
+from qptomo.linalg import hermitize, kron, partial_trace_out
+from qptomo.solvers import gradient
 from conftest import random_hermitian
-from reference import vec_inv
+from reference import apply_channel, identity_choi, vec, vec_inv
 
 RNG = np.random.default_rng(23)
 

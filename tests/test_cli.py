@@ -17,13 +17,12 @@ import qptomo
 from qptomo import io as qio
 from qptomo import (
     DomainError,
-    forward_probs,
-    identity_choi,
     j_distance,
     minimal_setup,
     simulate_counts,
     SimulationSpec,
 )
+from qptomo.channel import forward_probs
 from qptomo.cli import _build_parser, main
 from qptomo.ensembles import MAX_DIM_BYTES
 from qptomo.projections import (
@@ -34,6 +33,7 @@ from qptomo.projections import (
     project_us_p,
 )
 from qptomo.solvers import DiaConfig, PgdbConfig, solve_dia, solve_pgdb
+from reference import identity_choi
 
 C_BOX = np.diag([0.1, 0.1, 0.1, 1.7]).astype(complex)
 

@@ -13,19 +13,16 @@ from qptomo import (
     EnsembleSpec,
     SimulationSpec,
     choi_from_kraus,
-    build_design,
-    forward_probs,
     is_cptp,
     j_distance,
     minimal_setup,
-    partial_trace_out,
-    psd_sqrt_inv,
-    quasi_pure_weights,
     random_cptp,
     random_quasi_pure,
     simulate_counts,
 )
-from qptomo.ensembles import MAX_DIM_BYTES
+from qptomo.channel import build_design, forward_probs
+from qptomo.ensembles import MAX_DIM_BYTES, quasi_pure_weights
+from qptomo.linalg import partial_trace_out, psd_sqrt_inv
 from reference import design_condition_number
 
 # frozen regression value for the d=2 minimal setup (computed once via SVD)

@@ -26,12 +26,12 @@ from qptomo import (
     QptError,
     SimulationSpec,
     TomographySetup,
-    identity_choi,
     minimal_setup,
     simulate_counts,
 )
 from qptomo import io as qio
 from qptomo.cli import main
+from reference import identity_choi
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 

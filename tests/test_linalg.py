@@ -10,22 +10,22 @@ from qptomo import (
     SingularMatrixError,
     TomographySetup,
     cptp_residuals,
-    eigh,
-    frobenius_inner,
-    hermitize,
     is_cptp,
     j_distance,
+    project_cptp_dykstra,
+)
+from qptomo.linalg import (
+    eigh,
+    hermitize,
     kron,
     partial_trace_out,
-    project_cptp_dykstra,
     psd_sqrt_inv,
     trace_norm,
-    vec,
 )
 from qptomo.projections import _project_cptp_dual
 from qptomo.solvers import _dia_update, solve_linear_inversion
 from conftest import random_hermitian
-from reference import partial_trace_in, vec_inv
+from reference import frobenius_inner, partial_trace_in, vec, vec_inv
 
 RNG = np.random.default_rng(11)
 

@@ -9,21 +9,16 @@ from qptomo import (
     DomainError,
     EnsembleSpec,
     choi_from_kraus,
-    frobenius_inner,
-    hermitize,
-    identity_choi,
-    kron,
-    partial_trace_out,
     project_cp,
     project_cptp_dykstra,
     project_tni,
     project_tp,
     project_us_p,
     random_cptp,
-    vec,
 )
 from qptomo import projections
 from qptomo.channel import EPS_TP
+from qptomo.linalg import hermitize, kron, partial_trace_out
 from qptomo.projections import (
     MAX_INNER_ITERATIONS,
     _dykstra,
@@ -35,11 +30,14 @@ from qptomo.projections import (
 from conftest import cptp_pool, random_hermitian
 from reference import (
     dykstra_textbook,
+    frobenius_inner,
+    identity_choi,
     m_operator,
     newton_direction_dense,
     newton_jacobian_dense,
     project_cptp_averaged,
     project_tp_m_form,
+    vec,
 )
 
 RNG = np.random.default_rng(31)

@@ -13,20 +13,12 @@ from qptomo import (
     SimulationSpec,
     StalledStepError,
     TomographySetup,
-    apply_channel,
-    build_design,
     choi_from_kraus,
     cptp_residuals,
-    forward_probs,
-    gradient,
-    hermitize,
     is_cptp,
     j_distance,
-    kron,
     minimal_setup,
-    partial_trace_out,
     project_cptp_dykstra,
-    psd_sqrt_inv,
     random_cptp,
     random_quasi_pure,
     simulate_counts,
@@ -34,17 +26,19 @@ from qptomo import (
     solve_lifp,
     solve_linear_inversion,
     solve_pgdb,
-    vec,
 )
 from qptomo import projections, solvers
-from qptomo.channel import EPS_CP
-from qptomo.solvers import DiaConfig, PgdbConfig
+from qptomo.channel import EPS_CP, build_design, forward_probs
+from qptomo.linalg import hermitize, kron, partial_trace_out, psd_sqrt_inv
+from qptomo.solvers import DiaConfig, PgdbConfig, gradient
 from reference import (
+    apply_channel,
     design_condition_number,
     dia_trials_kron,
     dia_update_kron,
     linear_inversion_dense,
     newton_direction_dense,
+    vec,
 )
 
 
