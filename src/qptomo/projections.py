@@ -58,6 +58,8 @@ MAX_NEWTON_STEPS = 100
 #: Armijo constant and smallest step of the dual line search.
 NEWTON_ARMIJO = 1e-4
 MIN_NEWTON_STEP = 1e-10
+#: Columns of K per matmul when summing the Newton Jacobian.
+JACOBIAN_CHUNK = 64
 
 
 def _add_out_identity(c: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
@@ -243,7 +245,12 @@ def _newton_jacobian(w: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
     left = v3[:, :, m:].transpose(0, 2, 1).reshape(d * r, d)  # [(a, i), b]
     right = v3.conj().transpose(1, 0, 2).reshape(d, d * n)  # [b, (c, j)]
     k = (left @ right).reshape(d, r, d, n).transpose(0, 2, 1, 3).reshape(n, r * n)
-    g = (k * weight.reshape(-1)) @ k.conj().T
+    kw = k * weight.reshape(-1)
+    # Summed over column chunks of JACOBIAN_CHUNK in a fixed order, so the
+    # bytes do not depend on how many threads BLAS splits a long product over.
+    g = kw[:, :JACOBIAN_CHUNK] @ k[:, :JACOBIAN_CHUNK].conj().T
+    for s in range(JACOBIAN_CHUNK, r * n, JACOBIAN_CHUNK):
+        g += kw[:, s:s + JACOBIAN_CHUNK] @ k[:, s:s + JACOBIAN_CHUNK].conj().T
     return g + g.conj().reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(n, n)
 
 

@@ -9,12 +9,14 @@ in a solver. Each solve digest covers the estimate's bytes, ``cost_trace``,
 conditioning herald, ``min_prob_seen`` and lifp's ``pre_projection_*``
 fields. A solve that raises is digested from the iterate and report its
 error carries. Beside each digest the line also prints the iteration
-count, the status, the final cost and the J distance to the true map, to
-17 significant digits, so that a change that moves bits on purpose can be
-compared by value.
+count, the total of Newton steps over its CPTP projections, the status,
+the final cost and the J distance to the true map, to 17 significant
+digits, so that a change that moves bits on purpose can be compared by
+value.
 
-Not collected by pytest. Run it once per tree, with one BLAS thread so
-that matmul results do not depend on the thread count, and diff the two
+Not collected by pytest; ``tests/test_identity.py`` runs it and compares
+the values with ``tests/identity_expected.txt``. To compare two trees
+byte for byte, run it once per tree with one BLAS thread and diff the two
 outputs::
 
     PYTHONPATH=<tree>/src OPENBLAS_NUM_THREADS=1 python tests/identity_digest.py
@@ -78,7 +80,7 @@ def main() -> None:
                         estimate, report = err.last_iterate, err.report
                     print(f"{method} d={d} N={n_str} seed={seed} "
                           f"{digest(estimate, report)} it={report.iterations} "
-                          f"{report.status} f={report.final_cost:.17g} "
+                          f"newton={sum(report.projection_steps)} {report.status} f={report.final_cost:.17g} "
                           f"J={j_distance(estimate, truth):.17g}")
 
 
