@@ -80,7 +80,8 @@ def main() -> None:
                         estimate, report = err.last_iterate, err.report
                     print(f"{method} d={d} N={n_str} seed={seed} "
                           f"{digest(estimate, report)} it={report.iterations} "
-                          f"newton={sum(report.projection_steps)} {report.status} f={report.final_cost:.17g} "
+                          f"newton={sum(report.projection_steps)} {report.status} "
+                          f"f={report.final_cost:.17g} "
                           f"J={j_distance(estimate, truth):.17g}")
 
 

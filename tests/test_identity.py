@@ -77,7 +77,7 @@ def test_reconstruct_writes_the_same_bytes_on_one_and_two_blas_threads(tmp_path,
     outputs = []
     for threads in (1, 2):
         out = tmp_path / f"est{threads}.json"
-        _python(["-m", "qptomo.cli", "reconstruct", "--counts", str(tmp_path / "counts.txt"),
-                 "--method", method, "--out", str(out)], threads)
+        _python(["-m", "qptomo.cli", "reconstruct", "--method", method,
+                 "--counts", str(tmp_path / "counts.txt"), "--out", str(out)], threads)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
