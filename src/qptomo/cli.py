@@ -31,13 +31,7 @@ from .ensembles import (
     simulate_counts,
 )
 from .errors import ConvergenceError, DomainError, QptError, StalledStepError
-from .projections import (
-    project_cp,
-    project_cptp_dykstra,
-    project_tni,
-    project_tp,
-    project_us_p,
-)
+from .projections import project_cp, project_cptp, project_tni, project_tp, project_us_p
 from .solvers import (
     DiaConfig,
     PgdbConfig,
@@ -49,7 +43,7 @@ from .solvers import (
 #: Each method's config class; lifp takes none. Its solver is ``solve_<method>``.
 METHODS = {"pgdb": PgdbConfig, "dia": DiaConfig, "lifp": None}
 #: ``project --set`` choices and their projections; us_p takes ``--p-success``.
-PROJECTIONS = {"cptp": project_cptp_dykstra, "cp": project_cp, "tp": project_tp,
+PROJECTIONS = {"cptp": project_cptp, "cp": project_cp, "tp": project_tp,
                "tni": project_tni, "us_p": project_us_p}
 
 

@@ -16,17 +16,18 @@ sparse trace-out operator M is a test reference, in ``tests/reference.py``.
 
 Two algorithms compute the closest CPTP point:
 
-* ``_project_cptp_dual``, which the solvers call: semismooth Newton on the
-  dual of the projection (Malick 2004; Qi & Sun 2006). The closest point is
+* ``_project_cptp_dual``, behind the solvers and :func:`project_cptp`
+  (``qptomo project --set cptp``): semismooth Newton on the dual of the
+  projection (Malick 2004; Qi & Sun 2006). The closest point is
   X = P_+(C + Y (x) I) for the multiplier Y that solves the d^2-variable
   equation Tr_out P_+(C + Y (x) I) = I, so X is positive semidefinite by
-  construction and TP to ``NEWTON_TOL``. Passing the previous multiplier
-  as a warm start makes a hot loop of nearby projections cheap. The
-  Newton Jacobian uses only the eigenvector pairs with a positive
-  eigenvalue.
-* ``project_cptp_dykstra``, the standalone projection (``qptomo project
-  --set cptp``): Dykstra's alternating TP and CP projections with
-  correction terms, which converge to the closest point of the
+  construction and TP to max(``NEWTON_TOL``, 64 eps ||C||_F). A warm
+  start from the previous multiplier makes a hot loop of nearby
+  projections cheap. The Newton Jacobian uses only the eigenvector pairs
+  with a positive eigenvalue.
+* ``project_cptp_dykstra``, the paper's projection, kept for the benchmark
+  and as the tests' reference: Dykstra's alternating TP and CP projections
+  with correction terms, which converge to the closest point of the
   intersection (plain alternating or averaged projections only reach
   feasibility). For these two sets Dykstra is dual gradient descent:
   its CP-step input A = y + q obeys A <- A + ((I - Tr_out P_+(A)) / d) (x) I,
@@ -45,14 +46,15 @@ import numpy as np
 
 from .channel import EPS_TP
 from .errors import ConvergenceError, DomainError, SingularMatrixError
-from .linalg import choi_dim, eigh, hermitize, partial_trace_out
+from .linalg import choi_dim, eigh, eigvalsh, hermitize, partial_trace_out
 
-#: Algorithm default for the Dykstra stopping sum.
+#: Dykstra's bound on the stopping sum, and its iteration cap.
 DYKSTRA_TOL = 1e-4
 MAX_INNER_ITERATIONS = 20000
 
-#: Stopping rule of the dual Newton projection, on ||Tr_out X - I||_F. A
-#: looser 1e-10 makes pgdB's slope test stop early on the inexact step.
+#: Stopping rule of the dual Newton projection, on ||Tr_out X - I||_F; from
+#: ||C||_F ~ 70 on, rounding raises it to 64 eps ||C||_F. A looser 1e-10
+#: makes pgdB's slope test stop early on the inexact step.
 NEWTON_TOL = 1e-12
 MAX_NEWTON_STEPS = 100
 #: Armijo constant and smallest step of the dual line search.
@@ -127,11 +129,9 @@ def _dykstra(
     iterate, ``q`` the correction carried into the CP step). The correction
     carried into the TP step is always z (x) I, which the TP step removes
     again, so one iteration maps A to A + (gap / d) (x) I with
-    gap = I - Tr_out P_+(A): gradient descent with step 1/d (the Lipschitz
-    constant L = d) on the dual theta(Y) = 1/2 ||P_+(C + Y (x) I)||^2 - Tr Y
-    that ``_project_cptp_dual`` solves by Newton (Gaffke & Mathar 1989).
-    An iteration is one eigendecomposition of A, the d x d gap from its
-    eigenpairs and the update.
+    gap = I - Tr_out P_+(A), the dual gradient step of the module docstring:
+    one eigendecomposition of A, the d x d gap from its eigenpairs and the
+    update.
 
     The CP iterate x = P_+(A) and q = A - x are formed only once the TP
     residual ||gap|| is within ``EPS_TP``, since the stopping sum cannot
@@ -193,27 +193,17 @@ def _dykstra(
     )
 
 
-def project_cptp_dykstra(
-    c: np.ndarray,
-    tol: float = DYKSTRA_TOL,
-    max_iterations: int = MAX_INNER_ITERATIONS,
-) -> np.ndarray:
+def project_cptp_dykstra(c: np.ndarray) -> np.ndarray:
     """Project onto the closest CPTP Choi operator (Dykstra's algorithm).
 
     Alternates the TP and CP projections with correction terms; the
     returned iterate comes from the CP step, so it is positive
     semidefinite to machine precision while the TP condition holds within
     ``EPS_TP``. The loop stops once the robust stopping sum falls below
-    ``tol`` and the TP residual is within ``EPS_TP``; it always runs at
-    least two iterations because the sum compares successive corrections.
+    ``DYKSTRA_TOL`` and the TP residual is within ``EPS_TP``; it always runs
+    at least two iterations because the sum compares successive corrections.
     """
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    if max_iterations < 1:
-        # The ConvergenceError of a capped run carries P_+ of its last iteration.
-        raise DomainError(f"max_iterations must be at least 1, got {max_iterations}")
-    mat, _, _ = _dykstra(np.asarray(c, dtype=complex), tol, max_iterations)
-    return mat
+    return _dykstra(c, DYKSTRA_TOL, MAX_INNER_ITERATIONS)[0]
 
 
 def _newton_jacobian(w: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
@@ -259,11 +249,14 @@ def _newton_direction(
 ) -> np.ndarray:
     """Regularized semismooth Newton step for Tr_out P_+(C + Y (x) I) = I.
 
-    Solves (J + min(1e-2, residual) I) vec(dY) = -vec(residual) with the
-    index-split Jacobian J of :func:`_newton_jacobian`.
+    Solves (J + mu I) vec(dY) = -vec(residual) with the index-split Jacobian
+    J of :func:`_newton_jacobian` and mu = min(1e-2, residual) max(tr J / d^2,
+    1e-2). Far from CPTP, J is as small as the positive eigenvalues and mu
+    scales with it; the floor keeps mu > 0 where no eigenvalue is positive.
     """
     jac = _newton_jacobian(w, v, d)
-    jac.flat[:: d * d + 1] += min(1e-2, res_norm)
+    mu = min(1e-2, res_norm) * max(jac.trace().real / (d * d), 1e-2)
+    jac.flat[:: d * d + 1] += mu
     try:
         step = np.linalg.solve(jac, -residual.reshape(-1))
     except np.linalg.LinAlgError as err:
@@ -287,32 +280,35 @@ def _scalar_multiplier(w: np.ndarray, d: int) -> float:
 
 
 def _project_cptp_dual(
-    c: np.ndarray, y0: np.ndarray | None = None
+    c: np.ndarray, y0: np.ndarray | None = None, w: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Closest CPTP Choi operator by semismooth Newton on the dual problem.
 
     Minimizes the dual function theta(Y) = 1/2 ||P_+(C + Y (x) I)||^2 - Tr Y,
     whose gradient is Tr_out P_+(C + Y (x) I) - I, over Hermitian d x d
-    multipliers Y, starting from ``y0`` (zero when None; a cold caller that
-    has the eigenvalues of C can start at :func:`_scalar_multiplier`'s
-    -alpha I). A Newton step is accepted when it halves the TP residual or,
-    failing that, passes the Armijo test on theta; near the solution the
-    decrease of theta falls below its rounding, so the residual test is the
-    one that finishes.
+    multipliers Y, starting from ``y0``. Without one, a cold call given the
+    eigenvalues ``w`` of C starts at the best multiple of the identity,
+    -alpha I (:func:`_scalar_multiplier`), and otherwise at zero. A Newton
+    step is accepted when it halves the TP residual or, failing that,
+    passes the Armijo test on theta; near the solution the decrease of
+    theta falls below its rounding, so the residual test is the one that
+    finishes.
     A trial point costs one eigendecomposition: the residual comes from
     the eigenpairs, and P_+(C + Y (x) I) is formed only for the result or
     the error.
 
     Returns (projection, multiplier, Newton steps); the projection is
     positive semidefinite to rounding and its TP residual is at most
-    ``NEWTON_TOL``. Raises :class:`ConvergenceError` after
-    ``MAX_NEWTON_STEPS`` steps or when the line search finds no step. The
-    tolerance is absolute, so it cannot be reached once eps ||C|| exceeds it
-    (||C|| >~ 5e3): such inputs raise, with the true TP residual as ``residual``.
+    max(``NEWTON_TOL``, 64 eps ||C||_F), where rounding at the scale of C
+    sets the floor. Raises :class:`ConvergenceError`, with the TP residual
+    of its last iterate as ``residual``, after ``MAX_NEWTON_STEPS`` steps or
+    when the line search finds no step; cold, that happens from a norm of
+    about 1e5 on.
     """
     d = choi_dim(c)
     c = hermitize(np.asarray(c, dtype=complex))
     eye = np.eye(d)
+    tol = max(NEWTON_TOL, 64 * np.finfo(float).eps * float(np.linalg.norm(c)))
 
     def evaluate(y):
         w, v = eigh(_add_out_identity(c, d * y, d))
@@ -322,12 +318,11 @@ def _project_cptp_dual(
         return (w, v, residual), float(np.linalg.norm(residual)), theta
 
     if y0 is None:
-        y = np.zeros((d, d), dtype=complex)
-    else:
-        y = hermitize(np.asarray(y0, dtype=complex))
+        y0 = np.zeros((d, d)) if w is None else -_scalar_multiplier(w, d) * eye
+    y = hermitize(np.asarray(y0, dtype=complex))
     state, res_norm, theta = evaluate(y)
     steps = 0
-    while res_norm > NEWTON_TOL:
+    while res_norm > tol:
         w, v, residual = state
         if steps == MAX_NEWTON_STEPS:
             raise ConvergenceError(
@@ -355,3 +350,14 @@ def _project_cptp_dual(
         state, res_norm, theta = trial, trial_norm, trial_theta
         steps += 1
     return _positive_part(*state[:2]), y, steps
+
+
+def project_cptp(c: np.ndarray) -> np.ndarray:
+    """Project onto the closest CPTP Choi operator (dual Newton, cold start).
+
+    Positive semidefinite to rounding and trace preserving to
+    max(``NEWTON_TOL``, 64 eps ||C||_F); inputs of Frobenius norm above
+    about 1e4 may raise :class:`ConvergenceError`.
+    """
+    choi_dim(c)  # a bad shape is a DimensionError before LAPACK sees it
+    return _project_cptp_dual(c, w=eigvalsh(c))[0]

@@ -26,7 +26,7 @@ from .channel import (
 )
 from .errors import ConvergenceError, DomainError, StalledStepError
 from .linalg import choi_dim, eigvalsh, hermitize, psd_sqrt_inv
-from .projections import _project_cptp_dual, _scalar_multiplier
+from .projections import _project_cptp_dual
 
 
 #: Smallest Armijo step of pgdB and smallest dilution of DIA before the
@@ -356,14 +356,12 @@ def solve_lifp(
     The report records how unphysical the raw inversion was (minimum
     eigenvalue and distance to the TP set) before the projection repaired
     it. The same eigenvalues start the projection at the best multiple of
-    the identity, -alpha I (:func:`_scalar_multiplier`), instead of zero.
+    the identity, -alpha I, instead of zero.
     """
     start = time.perf_counter()
     raw = solve_linear_inversion(setup, counts)
-    d = setup.d
     w = eigvalsh(raw)
-    y0 = -_scalar_multiplier(w, d) * np.eye(d)
-    estimate, _, steps = _project_cptp_dual(raw, y0)
+    estimate, _, steps = _project_cptp_dual(raw, w=w)
     cost = _Cost(setup, counts)
     report = SolverReport(method="lifp", status="converged")
     report.cost_trace.append(cost(estimate))

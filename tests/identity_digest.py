@@ -12,7 +12,9 @@ error carries. Beside each digest the line also prints the iteration
 count, the total of Newton steps over its CPTP projections, the status,
 the final cost and the J distance to the true map, to 17 significant
 digits, so that a change that moves bits on purpose can be compared by
-value.
+value. Four more lines fingerprint the standalone ``project_cptp`` on a
+random Hermitian input at d = 3, 5 and Frobenius norms 1e2, 1e4, with the
+Newton steps it took and the TP residual of its result.
 
 Not collected by pytest; ``tests/test_identity.py`` runs it and compares
 the values with ``tests/identity_expected.txt``. To compare two trees
@@ -39,6 +41,8 @@ from qptomo import (
     solve_lifp,
     solve_pgdb,
 )
+from qptomo.linalg import eigvalsh, hermitize, partial_trace_out
+from qptomo.projections import _project_cptp_dual
 
 SOLVERS = {"pgdb": solve_pgdb, "dia": solve_dia, "lifp": solve_lifp}
 
@@ -83,6 +87,16 @@ def main() -> None:
                           f"newton={sum(report.projection_steps)} {report.status} "
                           f"f={report.final_cost:.17g} "
                           f"J={j_distance(estimate, truth):.17g}")
+    for d in (3, 5):
+        for norm in (1e2, 1e4):
+            x = np.random.default_rng(1).normal(size=(2, d * d, d * d))
+            c = hermitize(x[0] + 1j * x[1])
+            c *= norm / np.linalg.norm(c)
+            proj, _, steps = _project_cptp_dual(c, w=eigvalsh(c))
+            tp = np.linalg.norm(partial_trace_out(proj) - np.eye(d))
+            print(f"cptp d={d} norm={norm:.0e} seed=1 "
+                  f"{hashlib.sha256(proj.tobytes()).hexdigest()} "
+                  f"newton={steps} tp={tp:.3e}")
 
 
 if __name__ == "__main__":

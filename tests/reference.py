@@ -271,7 +271,8 @@ def newton_direction_dense(
     w: np.ndarray, v: np.ndarray, residual: np.ndarray, res_norm: float, d: int
 ) -> np.ndarray:
     """The regularized Newton step of the dual projection on the dense Jacobian."""
-    jac = newton_jacobian_dense(w, v, d) + min(1e-2, res_norm) * np.eye(d * d)
+    jac = newton_jacobian_dense(w, v, d)
+    jac += min(1e-2, res_norm) * max(np.trace(jac).real / (d * d), 1e-2) * np.eye(d * d)
     try:
         step = np.linalg.solve(jac, -residual.reshape(-1))
     except np.linalg.LinAlgError as err:

@@ -16,7 +16,7 @@ from qptomo import (
     j_distance,
     minimal_setup,
     neg_log_likelihood,
-    project_cptp_dykstra,
+    project_cptp,
     project_tni,
     project_tp,
     project_us_p,
@@ -32,6 +32,7 @@ from qptomo.channel import build_design, condition_probs, forward_probs
 from qptomo.cli import main as cli_main
 from qptomo.ensembles import quasi_pure_weights
 from qptomo.linalg import kron, partial_trace_out
+from qptomo.projections import MAX_INNER_ITERATIONS, _dykstra
 from qptomo.solvers import DiaConfig, PgdbConfig, gradient
 from conftest import cptp_pool, random_hermitian
 from reference import design_condition_number, vec
@@ -62,7 +63,7 @@ def trial_seeds(*key):
 
 
 def test_criterion_01_cptp_projection():
-    """Dykstra output: CP/TP residuals and the variational inequality."""
+    """Dykstra and dual Newton outputs: CP/TP residuals, variational inequality."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = {"eig": 0.0, "tp": 0.0, "vi": -np.inf}
@@ -71,14 +72,14 @@ def test_criterion_01_cptp_projection():
         pool = np.stack([vec(b) for b in cptp_pool(d, 1000, seed=9000 + d)])
         for _ in range(100):
             c = random_hermitian(rng, d2, scale=float(d))
-            proj = project_cptp_dykstra(c, tol=1e-12)
-            worst["eig"] = min(worst["eig"], float(np.linalg.eigvalsh(proj).min()))
-            worst["tp"] = max(
-                worst["tp"],
-                float(np.linalg.norm(partial_trace_out(proj) - np.eye(d))),
-            )
-            vi = ((pool - vec(proj)) @ vec(c - proj).conj()).real
-            worst["vi"] = max(worst["vi"], float(vi.max()))
+            for proj in (_dykstra(c, 1e-12, MAX_INNER_ITERATIONS)[0], project_cptp(c)):
+                worst["eig"] = min(worst["eig"], float(np.linalg.eigvalsh(proj).min()))
+                worst["tp"] = max(
+                    worst["tp"],
+                    float(np.linalg.norm(partial_trace_out(proj) - np.eye(d))),
+                )
+                vi = ((pool - vec(proj)) @ vec(c - proj).conj()).real
+                worst["vi"] = max(worst["vi"], float(vi.max()))
     elapsed = time.perf_counter() - t0
     ok = (
         worst["eig"] >= -1e-8

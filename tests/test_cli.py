@@ -17,6 +17,7 @@ import qptomo
 from qptomo import io as qio
 from qptomo import (
     DomainError,
+    is_cptp,
     j_distance,
     minimal_setup,
     simulate_counts,
@@ -27,12 +28,13 @@ from qptomo.cli import _build_parser, main
 from qptomo.ensembles import MAX_DIM_BYTES
 from qptomo.projections import (
     project_cp,
-    project_cptp_dykstra,
+    project_cptp,
     project_tni,
     project_tp,
     project_us_p,
 )
 from qptomo.solvers import DiaConfig, PgdbConfig, solve_dia, solve_pgdb
+from conftest import random_hermitian
 from reference import identity_choi
 
 C_BOX = np.diag([0.1, 0.1, 0.1, 1.7]).astype(complex)
@@ -457,6 +459,14 @@ class TestProject:
         moved = float(capsys.readouterr().out.split()[-1])
         assert moved <= 1e-6
 
+    def test_cptp_far_from_the_set_exits_0(self, tmp_path):
+        # Dykstra stops at its 20000-iteration cap on this input, with TP
+        # residual 1.6e-2; the dual Newton projection converges in 42 steps.
+        infile, outfile = tmp_path / "in.json", tmp_path / "out.json"
+        write_choi(infile, random_hermitian(np.random.default_rng(1), 9, scale=1e4), 3)
+        assert run("project", "--in", infile, "--set", "cptp", "--out", outfile) == 0
+        assert is_cptp(qio.load_choi(outfile.read_text())[0])
+
     def test_us_p_one_equals_tp(self, tmp_path):
         infile = tmp_path / "in.json"
         write_choi(infile, C_BOX, 2)
@@ -487,7 +497,7 @@ class TestProject:
         assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("target, project", [
-        ("cptp", project_cptp_dykstra), ("cp", project_cp), ("tp", project_tp),
+        ("cptp", project_cptp), ("cp", project_cp), ("tp", project_tp),
         ("tni", project_tni), ("us_p", lambda m: project_us_p(m, 0.5)),
     ])
     def test_each_set_writes_its_projection(self, tmp_path, target, project):

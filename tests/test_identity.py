@@ -1,8 +1,8 @@
 """Solves reproduce: 36 fingerprinted solves, and equal bytes on 1 and 2 BLAS threads.
 
-``identity_digest.py`` prints one line per simulated counts table and one
-per solve. Its output with one BLAS thread is committed as
-``identity_expected.txt`` and compared here:
+``identity_digest.py`` prints one line per simulated counts table, one per
+solve and one per standalone CPTP projection. Its output with one BLAS
+thread is committed as ``identity_expected.txt`` and compared here:
 
 * table digests, statuses and outer iterations match exactly;
 * the final cost and the J distance match within 1e-12 max(1, |value|):
@@ -10,7 +10,10 @@ per solve. Its output with one BLAS thread is committed as
   summation order alone (the Newton Jacobian summed in column chunks)
   moved costs by at most 1.3e-15 relative and J by at most 8.8e-16;
 * the Newton-step total of a solve matches within ``NEWTON_MARGIN`` steps,
-  since a rounding change can move one projection's count by one step.
+  since a rounding change can move one projection's count by one step;
+* each ``project_cptp`` line matches its Newton steps within the same
+  margin, and its TP residual is within the scale-aware stop
+  max(``NEWTON_TOL``, 64 eps ||C||_F).
 
 The solve digests are not compared: they change with any rounding.
 """
@@ -20,10 +23,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qptomo
 from qptomo.cli import main
+from qptomo.projections import NEWTON_TOL
 
 TESTS = Path(__file__).resolve().parent
 SRC = str(Path(qptomo.__file__).resolve().parents[1])
@@ -53,14 +58,19 @@ def _parse(text):
 def test_identity_digest_matches_the_committed_values():
     want = _parse((TESTS / "identity_expected.txt").read_text(encoding="utf-8"))
     got = _parse(_python([str(TESTS / "identity_digest.py")], threads=1))
-    assert len(want) == 48 and list(got) == list(want)
+    assert len(want) == 52 and list(got) == list(want)
     for key, (digest, fields, status) in want.items():
         g_digest, g_fields, g_status = got[key]
         if key[0] == "counts":
             assert g_digest == digest, key
             continue
-        assert (g_status, g_fields["it"]) == (status, fields["it"]), key
         assert abs(int(g_fields["newton"]) - int(fields["newton"])) <= NEWTON_MARGIN, key
+        if key[0] == "cptp":
+            norm = float(key[2].split("=")[1])
+            tol = max(NEWTON_TOL, 64 * np.finfo(float).eps * norm)
+            assert float(g_fields["tp"]) <= tol, key
+            continue
+        assert (g_status, g_fields["it"]) == (status, fields["it"]), key
         for name in ("f", "J"):
             a, b = float(g_fields[name]), float(fields[name])
             assert abs(a - b) <= VALUE_TOL * max(1.0, abs(b)), (key, name, a, b)

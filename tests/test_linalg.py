@@ -12,6 +12,7 @@ from qptomo import (
     cptp_residuals,
     is_cptp,
     j_distance,
+    project_cptp,
     project_cptp_dykstra,
 )
 from qptomo.linalg import (
@@ -129,6 +130,7 @@ class TestPartialTrace:
     "call, x",
     [
         (project_cptp_dykstra, np.ones((4, 3))),
+        (project_cptp, np.ones((4, 3))),
         (is_cptp, np.ones((4, 3))),
         (is_cptp, np.zeros((0, 0))),
         (cptp_residuals, np.ones((4, 3))),
@@ -136,7 +138,7 @@ class TestPartialTrace:
         (_project_cptp_dual, np.ones((4, 3))),
         (_project_cptp_dual, np.eye(5)),
     ],
-    ids=["dykstra-4x3", "is_cptp-4x3", "is_cptp-0x0", "residuals-4x3",
+    ids=["dykstra-4x3", "cptp-4x3", "is_cptp-4x3", "is_cptp-0x0", "residuals-4x3",
          "j_distance-4x3", "dual-4x3", "dual-5x5"],
 )
 def test_non_choi_shape_is_a_dimension_error(call, x):

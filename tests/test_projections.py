@@ -20,6 +20,7 @@ from qptomo import projections
 from qptomo.channel import EPS_TP
 from qptomo.linalg import hermitize, kron, partial_trace_out
 from qptomo.projections import (
+    DYKSTRA_TOL,
     MAX_INNER_ITERATIONS,
     _dykstra,
     _newton_direction,
@@ -240,26 +241,31 @@ class TestDykstra:
             out = project_cptp_dykstra(c)
             assert np.abs(out - c).max() < 1e-6
 
+    def test_runs_the_core_loop_at_the_defaults(self):
+        c = random_hermitian(np.random.default_rng(840), 9, scale=3.0)
+        want = _dykstra(c, DYKSTRA_TOL, MAX_INNER_ITERATIONS)[0]
+        assert project_cptp_dykstra(c).tobytes() == want.tobytes()
+
     def test_output_is_cptp(self):
-        out = project_cptp_dykstra(C_BOX, tol=1e-10)
+        out = _dykstra(C_BOX, 1e-10, MAX_INNER_ITERATIONS)[0]
         assert np.linalg.eigvalsh(out).min() >= -1e-10
         assert np.abs(partial_trace_out(out) - np.eye(2)).max() < 1e-6
 
     def test_closest_point_by_sampling(self):
-        out = project_cptp_dykstra(C_BOX, tol=1e-10)
+        out = _dykstra(C_BOX, 1e-10, MAX_INNER_ITERATIONS)[0]
         dist = np.linalg.norm(C_BOX - out)
         for b in cptp_pool(2, 1000, seed=5000):
             assert dist <= np.linalg.norm(C_BOX - b) + 1e-3
 
     def test_variational_inequality(self):
         c = random_hermitian(RNG, 4, scale=2.0)
-        out = project_cptp_dykstra(c, tol=1e-12)
+        out = _dykstra(c, 1e-12, MAX_INNER_ITERATIONS)[0]
         for b in cptp_pool(2, 200, seed=6000):
             assert frobenius_inner(c - out, b - out) <= 1e-6
 
     def test_iteration_cap_raises(self):
         with pytest.raises(ConvergenceError) as excinfo:
-            project_cptp_dykstra(C_BOX, tol=1e-10, max_iterations=3)
+            _dykstra(C_BOX, 1e-10, 3)
         assert excinfo.value.last_iterate is not None
         assert excinfo.value.residual is not None
         # The stopping sum is formed only once TP holds, so the message
@@ -304,14 +310,6 @@ class TestDykstra:
             passing = sum(1 for res in residuals[1:] if res <= EPS_TP)
             assert 1 <= len(formed) <= passing + 2
 
-    def test_invalid_tol(self):
-        with pytest.raises(DomainError):
-            project_cptp_dykstra(C_BOX, tol=0.0)
-
-    def test_invalid_iteration_cap(self):
-        with pytest.raises(DomainError):
-            project_cptp_dykstra(C_BOX, max_iterations=0)
-
 
 class TestDykstraAgainstTextbook:
     """The d x d TP correction against the loop with the full correction."""
@@ -352,7 +350,7 @@ class TestDualNewton:
         for _ in range(4):
             c = random_hermitian(rng, d * d, scale=float(d))
             out, _, _ = _project_cptp_dual(c)
-            assert np.abs(out - project_cptp_dykstra(c, tol=1e-12)).max() < 1e-6
+            assert np.abs(out - _dykstra(c, 1e-12, MAX_INNER_ITERATIONS)[0]).max() < 1e-6
             assert np.linalg.eigvalsh(out).min() >= -1e-12
             assert np.linalg.norm(partial_trace_out(out) - np.eye(d)) <= 1e-12
             vi = ((pool - vec(out)) @ vec(c - out).conj()).real
@@ -388,7 +386,8 @@ class TestDualNewton:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_far_input_raises_with_its_true_residual(self, d):
-        # NEWTON_TOL is absolute: at Frobenius norm 1e5, eps ||C|| is above it.
+        # At Frobenius norm 1e5 the Newton steps stay short of the scale-aware
+        # stop within MAX_NEWTON_STEPS.
         c = random_hermitian(np.random.default_rng(730 + d), d * d, scale=1e5)
         with pytest.raises(ConvergenceError) as excinfo:
             _project_cptp_dual(c)
@@ -495,7 +494,7 @@ class TestAveragedProjection:
 
     def test_dykstra_is_at_least_as_close(self):
         averaged = project_cptp_averaged(C_BOX, tol=1e-10)
-        dykstra = project_cptp_dykstra(C_BOX, tol=1e-10)
+        dykstra = _dykstra(C_BOX, 1e-10, MAX_INNER_ITERATIONS)[0]
         d_avg = np.linalg.norm(C_BOX - averaged)
         d_dyk = np.linalg.norm(C_BOX - dykstra)
         assert d_avg >= d_dyk - 1e-6

@@ -18,7 +18,6 @@ from qptomo import (
     is_cptp,
     j_distance,
     minimal_setup,
-    project_cptp_dykstra,
     random_cptp,
     random_quasi_pure,
     simulate_counts,
@@ -126,7 +125,7 @@ class TestPgdb:
         assert report.status == "converged"
         mu = 3.0 / (2.0 * 4.0)
         step = est - gradient(est, setup2, counts) / mu
-        mapped = project_cptp_dykstra(step, tol=1e-10)
+        mapped = projections._dykstra(step, 1e-10, projections.MAX_INNER_ITERATIONS)[0]
         assert np.linalg.norm(mapped - est) <= 1e-5
 
     def test_iterates_stay_cptp(self, setup2, noisy_data):
