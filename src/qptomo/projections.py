@@ -21,10 +21,12 @@ Two algorithms compute the closest CPTP point:
   projection (Malick 2004; Qi & Sun 2006). The closest point is
   X = P_+(C + Y (x) I) for the multiplier Y that solves the d^2-variable
   equation Tr_out P_+(C + Y (x) I) = I, so X is positive semidefinite by
-  construction and TP to max(``NEWTON_TOL``, 64 eps ||C||_F). A warm
-  start from the previous multiplier makes a hot loop of nearby
-  projections cheap. The Newton Jacobian uses only the eigenvector pairs
-  with a positive eigenvalue.
+  construction and TP to max(``NEWTON_TOL``, 64 eps ||C||_F) up to the
+  norm bound ``MAX_PROJECT_NORM``. A cold call starts at -alpha I, after
+  projecting C / 10 first above ``CONTINUATION_NORM``; a warm start from
+  the previous multiplier makes a hot loop of nearby projections cheap.
+  The Newton Jacobian uses only the eigenvector pairs with a positive
+  eigenvalue.
 * ``project_cptp_dykstra``, the paper's projection, kept for the benchmark
   and as the tests' reference: Dykstra's alternating TP and CP projections
   with correction terms, which converge to the closest point of the
@@ -57,6 +59,10 @@ MAX_INNER_ITERATIONS = 20000
 #: makes pgdB's slope test stop early on the inexact step.
 NEWTON_TOL = 1e-12
 MAX_NEWTON_STEPS = 100
+#: Cold inputs above this Frobenius norm are projected at a tenth first.
+#: Inputs above the bound are refused: from about 7e7, 64 eps ||C||_F > EPS_TP.
+CONTINUATION_NORM = 1e3
+MAX_PROJECT_NORM = 1e7
 #: Armijo constant and smallest step of the dual line search.
 NEWTON_ARMIJO = 1e-4
 MIN_NEWTON_STEP = 1e-10
@@ -280,15 +286,16 @@ def _scalar_multiplier(w: np.ndarray, d: int) -> float:
 
 
 def _project_cptp_dual(
-    c: np.ndarray, y0: np.ndarray | None = None, w: np.ndarray | None = None
+    c: np.ndarray, y0: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Closest CPTP Choi operator by semismooth Newton on the dual problem.
 
     Minimizes the dual function theta(Y) = 1/2 ||P_+(C + Y (x) I)||^2 - Tr Y,
     whose gradient is Tr_out P_+(C + Y (x) I) - I, over Hermitian d x d
-    multipliers Y, starting from ``y0``. Without one, a cold call given the
-    eigenvalues ``w`` of C starts at the best multiple of the identity,
-    -alpha I (:func:`_scalar_multiplier`), and otherwise at zero. A Newton
+    multipliers Y, starting from ``y0``. Without one, a cold call starts at
+    the best multiple of the identity, -alpha I (:func:`_scalar_multiplier`
+    on the eigenvalues of C); above ``CONTINUATION_NORM`` it first projects
+    C / 10, cold, and starts at ten times that multiplier. A Newton
     step is accepted when it halves the TP residual or, failing that,
     passes the Armijo test on theta; near the solution the decrease of
     theta falls below its rounding, so the residual test is the one that
@@ -297,18 +304,22 @@ def _project_cptp_dual(
     the eigenpairs, and P_+(C + Y (x) I) is formed only for the result or
     the error.
 
-    Returns (projection, multiplier, Newton steps); the projection is
-    positive semidefinite to rounding and its TP residual is at most
-    max(``NEWTON_TOL``, 64 eps ||C||_F), where rounding at the scale of C
-    sets the floor. Raises :class:`ConvergenceError`, with the TP residual
-    of its last iterate as ``residual``, after ``MAX_NEWTON_STEPS`` steps or
-    when the line search finds no step; cold, that happens from a norm of
-    about 1e5 on.
+    Returns (projection, multiplier, Newton steps over all stages); the
+    projection is positive semidefinite to rounding and its TP residual is
+    at most max(``NEWTON_TOL``, 64 eps ||C||_F), where rounding at the scale
+    of C sets the floor. Raises :class:`DomainError` when ||C||_F is not
+    finite or above ``MAX_PROJECT_NORM``, and :class:`ConvergenceError`,
+    with the TP residual of its last iterate as ``residual``, after
+    ``MAX_NEWTON_STEPS`` steps in one stage or when the line search fails.
     """
     d = choi_dim(c)
-    c = hermitize(np.asarray(c, dtype=complex))
     eye = np.eye(d)
-    tol = max(NEWTON_TOL, 64 * np.finfo(float).eps * float(np.linalg.norm(c)))
+    with np.errstate(all="ignore"):  # past the float range: inf or nan, refused
+        c = hermitize(np.asarray(c, dtype=complex))
+        norm = float(np.linalg.norm(c))
+    if not norm <= MAX_PROJECT_NORM:
+        raise DomainError(f"CPTP input norm {norm:.3e} is not in [0, {MAX_PROJECT_NORM:g}]")
+    tol = max(NEWTON_TOL, 64 * np.finfo(float).eps * norm)
 
     def evaluate(y):
         w, v = eigh(_add_out_identity(c, d * y, d))
@@ -317,14 +328,18 @@ def _project_cptp_dual(
         theta = 0.5 * float(wp @ wp) - float(np.trace(y).real)
         return (w, v, residual), float(np.linalg.norm(residual)), theta
 
-    if y0 is None:
-        y0 = np.zeros((d, d)) if w is None else -_scalar_multiplier(w, d) * eye
+    steps = 0
+    if y0 is None and norm > CONTINUATION_NORM:
+        _, y0, steps = _project_cptp_dual(c / 10)
+        y0 = 10 * y0
+    elif y0 is None:
+        y0 = -_scalar_multiplier(eigvalsh(c), d) * eye
     y = hermitize(np.asarray(y0, dtype=complex))
     state, res_norm, theta = evaluate(y)
-    steps = 0
+    cap = steps + MAX_NEWTON_STEPS
     while res_norm > tol:
         w, v, residual = state
-        if steps == MAX_NEWTON_STEPS:
+        if steps == cap:
             raise ConvergenceError(
                 f"dual Newton projection did not converge in {MAX_NEWTON_STEPS} "
                 f"steps (TP residual {res_norm:.3e})",
@@ -357,7 +372,6 @@ def project_cptp(c: np.ndarray) -> np.ndarray:
 
     Positive semidefinite to rounding and trace preserving to
     max(``NEWTON_TOL``, 64 eps ||C||_F); inputs of Frobenius norm above
-    about 1e4 may raise :class:`ConvergenceError`.
+    ``MAX_PROJECT_NORM``, or not finite, raise :class:`DomainError`.
     """
-    choi_dim(c)  # a bad shape is a DimensionError before LAPACK sees it
-    return _project_cptp_dual(c, w=eigvalsh(c))[0]
+    return _project_cptp_dual(c)[0]

@@ -355,18 +355,16 @@ def solve_lifp(
 
     The report records how unphysical the raw inversion was (minimum
     eigenvalue and distance to the TP set) before the projection repaired
-    it. The same eigenvalues start the projection at the best multiple of
-    the identity, -alpha I, instead of zero.
+    it. The projection starts cold, at the best multiple of the identity.
     """
     start = time.perf_counter()
     raw = solve_linear_inversion(setup, counts)
-    w = eigvalsh(raw)
-    estimate, _, steps = _project_cptp_dual(raw, w=w)
+    estimate, _, steps = _project_cptp_dual(raw)
     cost = _Cost(setup, counts)
     report = SolverReport(method="lifp", status="converged")
     report.cost_trace.append(cost(estimate))
     report.projection_steps.append(steps)
-    report.pre_projection_min_eigenvalue = float(w[0])
+    report.pre_projection_min_eigenvalue = float(eigvalsh(raw)[0])
     report.pre_projection_tp_distance = tp_distance(raw)
     _finish(report, start, cost)
     report.iterations = steps

@@ -41,7 +41,7 @@ from qptomo import (
     solve_lifp,
     solve_pgdb,
 )
-from qptomo.linalg import eigvalsh, hermitize, partial_trace_out
+from qptomo.linalg import hermitize, partial_trace_out
 from qptomo.projections import _project_cptp_dual
 
 SOLVERS = {"pgdb": solve_pgdb, "dia": solve_dia, "lifp": solve_lifp}
@@ -92,7 +92,7 @@ def main() -> None:
             x = np.random.default_rng(1).normal(size=(2, d * d, d * d))
             c = hermitize(x[0] + 1j * x[1])
             c *= norm / np.linalg.norm(c)
-            proj, _, steps = _project_cptp_dual(c, w=eigvalsh(c))
+            proj, _, steps = _project_cptp_dual(c)
             tp = np.linalg.norm(partial_trace_out(proj) - np.eye(d))
             print(f"cptp d={d} norm={norm:.0e} seed=1 "
                   f"{hashlib.sha256(proj.tobytes()).hexdigest()} "

@@ -461,11 +461,31 @@ class TestProject:
 
     def test_cptp_far_from_the_set_exits_0(self, tmp_path):
         # Dykstra stops at its 20000-iteration cap on this input, with TP
-        # residual 1.6e-2; the dual Newton projection converges in 42 steps.
+        # residual 1.6e-2; the dual Newton projection converges in 20 steps.
         infile, outfile = tmp_path / "in.json", tmp_path / "out.json"
         write_choi(infile, random_hermitian(np.random.default_rng(1), 9, scale=1e4), 3)
         assert run("project", "--in", infile, "--set", "cptp", "--out", outfile) == 0
         assert is_cptp(qio.load_choi(outfile.read_text())[0])
+
+    def test_cptp_at_norm_1e6_exits_0(self, tmp_path):
+        # One cold Newton run stops at its 100-step cap on this input, with
+        # TP residual 2.055; the scale continuation converges.
+        infile, outfile = tmp_path / "in.json", tmp_path / "out.json"
+        write_choi(infile, random_hermitian(np.random.default_rng(9), 9, scale=1e6), 3)
+        assert run("project", "--in", infile, "--set", "cptp", "--out", outfile) == 0
+        assert is_cptp(qio.load_choi(outfile.read_text())[0])
+
+    @pytest.mark.parametrize("d, mat", [
+        (3, random_hermitian(np.random.default_rng(1), 9, scale=1e15)),
+        (2, np.diag([1e160, 0.5, 0.5, 0.5])),
+    ], ids=["norm-1e15", "entry-1e160"])
+    def test_cptp_past_the_norm_bound_exits_1(self, tmp_path, capsys, d, mat):
+        infile, outfile = tmp_path / "in.json", tmp_path / "out.json"
+        write_choi(infile, mat, d)
+        assert run("project", "--in", infile, "--set", "cptp", "--out", outfile) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not outfile.exists()
 
     def test_us_p_one_equals_tp(self, tmp_path):
         infile = tmp_path / "in.json"

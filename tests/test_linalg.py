@@ -242,8 +242,10 @@ class TestLapackFailures:
             ("pinv", "SVD did not converge",
              lambda s: solve_linear_inversion(rebuild_setup(s), uniform_counts(s)),
              LapackError),
+            # From zero: the start -alpha I is already the projection of 2 I.
             ("solve", "Singular matrix",
-             lambda s: _project_cptp_dual(2 * np.eye(4)), SingularMatrixError),
+             lambda s: _project_cptp_dual(2 * np.eye(4), np.zeros((2, 2))),
+             SingularMatrixError),
         ],
     )
     def test_converted_at_the_call(self, monkeypatch, setup2, routine, message,

@@ -381,18 +381,8 @@ class TestDualNewton:
         monkeypatch.setattr(projections, "MAX_NEWTON_STEPS", 1)
         with pytest.raises(ConvergenceError) as excinfo:
             _project_cptp_dual(C_BOX)
-        assert excinfo.value.last_iterate is not None
-        assert excinfo.value.residual > projections.NEWTON_TOL
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_far_input_raises_with_its_true_residual(self, d):
-        # At Frobenius norm 1e5 the Newton steps stay short of the scale-aware
-        # stop within MAX_NEWTON_STEPS.
-        c = random_hermitian(np.random.default_rng(730 + d), d * d, scale=1e5)
-        with pytest.raises(ConvergenceError) as excinfo:
-            _project_cptp_dual(c)
         err = excinfo.value
-        true = np.linalg.norm(partial_trace_out(err.last_iterate) - np.eye(d))
+        true = np.linalg.norm(partial_trace_out(err.last_iterate) - np.eye(2))
         assert err.residual > projections.NEWTON_TOL
         assert err.residual == pytest.approx(true, rel=1e-4)
 

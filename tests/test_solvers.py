@@ -432,7 +432,7 @@ class TestLifp:
     def test_matches_the_zero_start_projection(self, d):
         for setup, counts in self.noisy_inputs(d, 3):
             zero_start, _, _ = solvers._project_cptp_dual(
-                solve_linear_inversion(setup, counts))
+                solve_linear_inversion(setup, counts), np.zeros((d, d)))
             est, _ = solve_lifp(setup, counts)
             assert np.abs(est - zero_start).max() < 1e-10
 
@@ -441,7 +441,7 @@ class TestLifp:
         zero_start = scalar_start = 0
         for setup, counts in self.noisy_inputs(d, 10):
             raw = solve_linear_inversion(setup, counts)
-            zero_start += solvers._project_cptp_dual(raw)[2]
+            zero_start += solvers._project_cptp_dual(raw, np.zeros((d, d)))[2]
             scalar_start += solve_lifp(setup, counts)[1].iterations
         assert scalar_start < zero_start
 
