@@ -97,9 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="report path (default: <out>.report.json)")
     rec.add_argument("--setup", type=Path, default=None)
     # Each tuning flag's dest is its config field; unset flags keep the
-    # config's default.
-    rec.add_argument("--mu", type=float, default=None)
-    rec.add_argument("--gamma", type=float, default=None)
+    # config's default, and lifp takes none.
     rec.add_argument("--ftol", dest="f_tol", type=float, default=None)
     rec.add_argument("--max-iters", dest="max_outer_iterations", type=int, default=None)
 
@@ -183,6 +181,9 @@ def _solve(method: str, setup, counts, flags):
 
 
 def _cmd_reconstruct(args) -> int:
+    if args.method == "lifp" and (args.f_tol, args.max_outer_iterations) != (None, None):
+        print("error: --method lifp takes no --ftol or --max-iters", file=sys.stderr)
+        return 2
     counts, info = io.load_counts(_read(args.counts))
     setup = _load_setup_for(info["d"], args.setup)
     report_path = args.report or args.out.parent / (args.out.name + ".report.json")

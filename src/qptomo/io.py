@@ -39,6 +39,9 @@ BENCHMARK_VERSION = "# qptomo-benchmark-v1"
 
 #: Largest admissible entry of C - C^dagger in a Choi file.
 HERMITICITY_TOL = 1e-6
+#: Largest admissible Frobenius norm of a matrix in a file, so that the
+#: sums and products of the projections and solvers stay finite.
+MAX_MATRIX_NORM = 1e150
 
 
 def _fmt(x: float) -> str:
@@ -86,8 +89,13 @@ def _parse_matrix(doc: dict, d2: int, what: str) -> np.ndarray:
         raise DomainError(f"{what}: bad matrix blocks: {err}") from err
     if re.shape != (d2, d2) or im.shape != (d2, d2):
         raise DomainError(f"{what}: matrix blocks must be {d2}x{d2}")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise DomainError(f"{what}: matrix entries must be finite")
+    # A NaN or infinite entry makes the norm NaN or infinite.
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm([re, im]))
+    if not norm <= MAX_MATRIX_NORM:
+        raise DomainError(
+            f"{what}: matrix norm {norm:.3e} is not finite or above {MAX_MATRIX_NORM:g}"
+        )
     return re + 1j * im
 
 

@@ -21,11 +21,11 @@ from .channel import (
     _check_counts,
     _reshuffle,
     condition_probs,
+    cptp_residuals,
     forward_probs,
-    tp_distance,
 )
 from .errors import ConvergenceError, DomainError, StalledStepError
-from .linalg import choi_dim, eigvalsh, hermitize, psd_sqrt_inv
+from .linalg import choi_dim, hermitize, psd_sqrt_inv
 from .projections import _project_cptp_dual
 
 
@@ -33,54 +33,36 @@ from .projections import _project_cptp_dual
 #: solver reports a stalled step.
 MIN_ALPHA = 1e-12
 MIN_EPSILON = 1e-12
-
-
-def _check_positive(name: str, value: float) -> None:
-    """Reject a solver parameter that is not a finite positive number."""
-    if not 0 < value < math.inf:
-        raise DomainError(f"{name} must be finite and positive, got {value}")
-
-
-def _check_cap(value: int) -> None:
-    """Reject an iteration cap that is not a positive integer; bools included."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise DomainError(f"max_outer_iterations must be an integer >= 1, got {value!r}")
+#: Armijo acceptance constant of pgdB's backtracking line search.
+GAMMA = 0.3
 
 
 @dataclass
 class PgdbConfig:
-    """Metaparameters of the projected gradient descent solver.
+    """Stopping rule of the projected gradient descent solver.
 
-    ``mu`` is the inverse step scale; the default None resolves to
-    3 / (2 d^2) once the dimension is known. ``gamma`` is the Armijo
-    acceptance constant for the backtracking line search over
-    alpha in {1, 1/2, 1/4, ...}.
+    A solve stops after the first accepted step whose cost decrease is at
+    most ``f_tol`` and fails at ``max_outer_iterations``. The step scale
+    mu = 3 / (2 d^2) and the Armijo constant ``GAMMA`` are fixed.
     """
 
-    mu: float | None = None
-    gamma: float = 0.3
     f_tol: float = 1e-10
     max_outer_iterations: int = 5000
 
     def __post_init__(self):
-        if self.mu is not None:
-            _check_positive("mu", self.mu)
-        if not 0.0 < self.gamma < 1.0:
-            raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}")
-        _check_positive("f_tol", self.f_tol)
-        _check_cap(self.max_outer_iterations)
+        if not 0 < self.f_tol < math.inf:
+            raise DomainError(f"f_tol must be finite and positive, got {self.f_tol}")
+        cap = self.max_outer_iterations
+        # A bool is not a count, and range() rejects a float.
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+            raise DomainError(f"max_outer_iterations must be an integer >= 1, got {cap!r}")
 
 
 @dataclass
-class DiaConfig:
-    """Metaparameters of the diluted iteration solver."""
+class DiaConfig(PgdbConfig):
+    """Stopping rule of the diluted iteration solver, with a higher default cap."""
 
-    f_tol: float = 1e-10
     max_outer_iterations: int = 20000
-
-    def __post_init__(self):
-        _check_positive("f_tol", self.f_tol)
-        _check_cap(self.max_outer_iterations)
 
 
 @dataclass
@@ -184,7 +166,7 @@ def _finish(report: SolverReport, start: float, cost: _Cost) -> None:
 
 
 def _descend(
-    cost: _Cost, report: SolverReport, cfg: PgdbConfig | DiaConfig, step
+    cost: _Cost, report: SolverReport, cfg: PgdbConfig, step
 ) -> tuple[np.ndarray, SolverReport]:
     """The outer loop of pgdB and DIA: from I/d until the decrease is <= f_tol.
 
@@ -230,18 +212,18 @@ def solve_pgdb(
 ) -> tuple[np.ndarray, SolverReport]:
     """Maximum-likelihood estimate by projected gradient descent.
 
-    Each outer iteration projects the step ``C - (1/mu) grad f`` onto CPTP
-    once (dual Newton, warm-started from the previous iteration's
-    multiplier), then backtracks along the resulting direction D with
-    the Armijo rule ``f(C + a D) <= f(C) + gamma a <D, grad f>``. Since
-    CPTP is convex, every backtracked point stays feasible.
+    Each outer iteration projects the step ``C - (1/mu) grad f``, with
+    mu = 3 / (2 d^2), onto CPTP once (dual Newton, warm-started from the
+    previous iteration's multiplier), then backtracks along the resulting
+    direction D with the Armijo rule ``f(C + a D) <= f(C) + GAMMA a <D, grad f>``.
+    Since CPTP is convex, every backtracked point stays feasible.
 
     Raises :class:`StalledStepError` when no admissible step size remains
     and :class:`ConvergenceError` (carrying the last iterate) when the
     projection fails or at the iteration cap.
     """
     cfg = config or PgdbConfig()
-    mu = cfg.mu if cfg.mu is not None else 3.0 / (2.0 * setup.d**2)
+    mu = 3.0 / (2.0 * setup.d**2)
     cost = _Cost(setup, counts)
     report = SolverReport(method="pgdb")
     y = None
@@ -262,7 +244,7 @@ def solve_pgdb(
             return None
         p_dir = cost.probs(direction)
         alpha = 1.0
-        while cost.from_probs(p_c + alpha * p_dir) > f_c + cfg.gamma * alpha * slope:
+        while cost.from_probs(p_c + alpha * p_dir) > f_c + GAMMA * alpha * slope:
             alpha *= 0.5
             if alpha < MIN_ALPHA:
                 raise StalledStepError(f"no acceptable step above alpha={MIN_ALPHA:g}")
@@ -364,8 +346,9 @@ def solve_lifp(
     report = SolverReport(method="lifp", status="converged")
     report.cost_trace.append(cost(estimate))
     report.projection_steps.append(steps)
-    report.pre_projection_min_eigenvalue = float(eigvalsh(raw)[0])
-    report.pre_projection_tp_distance = tp_distance(raw)
+    report.pre_projection_min_eigenvalue, report.pre_projection_tp_distance = (
+        cptp_residuals(raw)
+    )
     _finish(report, start, cost)
     report.iterations = steps
     return estimate, report

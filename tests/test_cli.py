@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import operator
 import os
 import subprocess
 import sys
@@ -91,6 +90,13 @@ class TestChoiFileFormat:
         edit(doc)
         with pytest.raises(DomainError):
             qio.load_choi(json.dumps(doc))
+
+    def test_norm_bound_is_inclusive(self):
+        mat = np.diag([qio.MAX_MATRIX_NORM, 0.0, 0.0, 0.0])
+        text = qio.dump_choi(mat, 2)
+        assert qio.dump_choi(*qio.load_choi(text)) == text
+        with pytest.raises(DomainError, match="norm"):
+            qio.load_choi(qio.dump_choi(np.nextafter(mat, np.inf), 2))
 
     @pytest.mark.parametrize("text", ["[1, 2]", "null", '"choi-v1"'])
     def test_rejects_non_object(self, text):
@@ -333,8 +339,6 @@ class TestReconstruct:
         assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("options", [
-        ("--method", "pgdb", "--mu", "nan"),
-        ("--method", "pgdb", "--mu", "inf"),
         ("--method", "pgdb", "--ftol", "nan"),
         ("--method", "pgdb", "--max-iters", 0),
         ("--method", "dia", "--max-iters", 0),
@@ -365,11 +369,9 @@ class TestReconstruct:
     @pytest.mark.parametrize("method, options, config", [
         ("pgdb", (), PgdbConfig()),
         ("dia", (), DiaConfig()),
-        ("pgdb", ("--gamma", 0.9), PgdbConfig(gamma=0.9)),
         ("pgdb", ("--ftol", 1e-3), PgdbConfig(f_tol=1e-3)),
         ("dia", ("--ftol", 1e-3), DiaConfig(f_tol=1e-3)),
-        ("dia", ("--mu", 5, "--gamma", 0.9), DiaConfig()),
-    ], ids=["pgdb", "dia", "pgdb-gamma", "pgdb-ftol", "dia-ftol", "dia-ignores-mu-gamma"])
+    ], ids=["pgdb", "dia", "pgdb-ftol", "dia-ftol"])
     def test_flags_build_the_config(self, tmp_path, counts_inf, method, options,
                                     config):
         # With no flag the CLI runs the config defaults; a flag reaches its field.
@@ -386,11 +388,37 @@ class TestReconstruct:
         report = json.loads((tmp_path / "est.json.report.json").read_text())
         assert report["cost_trace"] == ref_report.cost_trace.tolist()
         if config != type(config)():
-            # The flag changes the run: f_tol 1e-3 stops earlier, and gamma
-            # 0.9 backtracks to shorter steps, so more of them.
+            # The flag changes the run: f_tol 1e-3 stops earlier.
             _, default = solve(setup, table)
-            expected = operator.lt if "--ftol" in options else operator.gt
-            assert expected(ref_report.iterations, default.iterations)
+            assert ref_report.iterations < default.iterations
+
+    @pytest.mark.parametrize("method", ["pgdb", "dia", "lifp"])
+    @pytest.mark.parametrize("flag", [("--mu", 1), ("--gamma", 0.5)],
+                             ids=["mu", "gamma"])
+    def test_fixed_metaparameter_flag_is_usage_error(self, tmp_path, counts_inf,
+                                                     method, flag):
+        # pgdB's step scale and Armijo constant are constants, not flags.
+        _, counts = counts_inf
+        est = tmp_path / "est.json"
+        with pytest.raises(SystemExit) as excinfo:
+            run("reconstruct", "--counts", counts, "--method", method, *flag,
+                "--out", est)
+        assert excinfo.value.code == 2
+        assert not est.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--ftol", 1e-3), ("--max-iters", 1), ("--ftol", 1e-3, "--max-iters", 1),
+    ], ids=["ftol", "max-iters", "both"])
+    def test_lifp_tuning_flag_is_usage_error(self, tmp_path, counts_inf, capsys,
+                                            flags):
+        # lifp has no outer loop, so it has nothing for these flags to set.
+        _, counts = counts_inf
+        est = tmp_path / "est.json"
+        assert run("reconstruct", "--counts", counts, "--method", "lifp", *flags,
+                   "--out", est) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not est.exists()
 
     def test_unknown_method_is_usage_error(self, tmp_path, counts_inf):
         _, counts = counts_inf
@@ -401,13 +429,16 @@ class TestReconstruct:
 
 
 def test_every_config_field_has_a_reconstruct_flag():
-    # A solver setting that no flag sets has no caller outside the tests.
+    # A solver setting that no flag sets has no caller outside the tests,
+    # and a tuning flag that a config lacks would be ignored by its method.
     parser = _build_parser()
     commands = next(a for a in parser._actions if a.dest == "command").choices
     flags = {a.dest for a in commands["reconstruct"]._actions}
+    tuning = flags - {"help", "counts", "method", "out", "report", "setup"}
     for config in (PgdbConfig, DiaConfig):
         names = {f.name for f in dataclasses.fields(config)}
         assert sorted(names - flags) == [], config.__name__
+        assert sorted(tuning - names) == [], config.__name__
 
 
 @pytest.mark.parametrize("argv", [
@@ -483,6 +514,22 @@ class TestProject:
         infile, outfile = tmp_path / "in.json", tmp_path / "out.json"
         write_choi(infile, mat, d)
         assert run("project", "--in", infile, "--set", "cptp", "--out", outfile) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not outfile.exists()
+
+    @pytest.mark.parametrize("entry", [1.7e308, 1e160])
+    @pytest.mark.parametrize("target", ["cp", "tp", "tni"])
+    def test_entry_past_the_file_norm_bound_exits_1(self, tmp_path, capsys, target,
+                                                    entry):
+        # Finite entries whose squares overflow: the projections would
+        # write NaN or report an infinite distance moved.
+        infile, outfile = tmp_path / "in.json", tmp_path / "out.json"
+        write_choi(infile, np.diag([entry, 0.5, 0.5, 0.5]), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("project", "--in", infile, "--set", target,
+                       "--out", outfile) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert not outfile.exists()

@@ -9,6 +9,7 @@ tree, and the draws are derandomized, so every run checks the same inputs.
 
 import contextlib
 import io
+import json
 import shutil
 import string
 import subprocess
@@ -23,6 +24,7 @@ from hypothesis.extra.numpy import arrays
 
 from qptomo import (
     CountsTable,
+    DomainError,
     QptError,
     SimulationSpec,
     TomographySetup,
@@ -99,6 +101,14 @@ def test_counts_round_trip_is_byte_identical(text):
 @SETTINGS
 @given(choi_files())
 def test_choi_round_trip_is_byte_identical(text):
+    # A matrix past the file norm bound is refused; any other round-trips.
+    doc = json.loads(text)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm([doc["re"], doc["im"]])
+    if norm > qio.MAX_MATRIX_NORM:
+        with pytest.raises(DomainError, match="norm"):
+            qio.load_choi(text)
+        return
     mat, d, meta = qio.load_choi(text)
     assert qio.dump_choi(mat, d, meta) == text
 

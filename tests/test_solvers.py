@@ -1,6 +1,7 @@
 """The three estimators and their reports."""
 
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -151,12 +152,13 @@ class TestPgdb:
         assert len(excinfo.value.report.cost_trace) == 3
 
     def test_stalled_step_error(self, setup2, noisy_data, monkeypatch):
-        # With gamma almost 1 the Armijo bound is tighter than the convexity
+        # With GAMMA almost 1 the Armijo bound is tighter than the convexity
         # lower bound allows, and MIN_ALPHA just below 1 forbids halving.
         _, counts = noisy_data
         monkeypatch.setattr(solvers, "MIN_ALPHA", 0.9)
+        monkeypatch.setattr(solvers, "GAMMA", 1 - 1e-9)
         with pytest.raises(StalledStepError) as excinfo:
-            solve_pgdb(setup2, counts, PgdbConfig(gamma=1 - 1e-9))
+            solve_pgdb(setup2, counts)
         assert excinfo.value.report is not None
         assert excinfo.value.last_iterate is not None
 
@@ -174,16 +176,10 @@ class TestPgdb:
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
-            PgdbConfig(gamma=1.5)
-        with pytest.raises(DomainError):
-            PgdbConfig(mu=-1.0)
-        with pytest.raises(DomainError):
             PgdbConfig(f_tol=0.0)
 
 
 CONFIG_FIELDS = [
-    (PgdbConfig, "mu"),
-    (PgdbConfig, "gamma"),
     (PgdbConfig, "f_tol"),
     (PgdbConfig, "max_outer_iterations"),
     (DiaConfig, "f_tol"),
@@ -205,6 +201,13 @@ CONFIG_FIELDS = [
 def test_config_rejects_non_finite_or_non_positive(config, name, value):
     with pytest.raises(DomainError):
         config(**{name: value})
+
+
+@pytest.mark.parametrize("config, cap", [(PgdbConfig, 5000), (DiaConfig, 20000)])
+def test_config_is_the_stopping_rule(config, cap):
+    # mu and GAMMA are constants of pgdB; only the stopping rule is set.
+    assert [f.name for f in fields(config)] == ["f_tol", "max_outer_iterations"]
+    assert config() == config(f_tol=1e-10, max_outer_iterations=cap)
 
 
 @pytest.mark.parametrize("config", [PgdbConfig, DiaConfig])
