@@ -42,6 +42,8 @@ from .solvers import (
 
 #: Each method's config class; lifp takes none. Its solver is ``solve_<method>``.
 METHODS = {"pgdb": PgdbConfig, "dia": DiaConfig, "lifp": None}
+#: ``reconstruct`` tuning flags by config field, as (flag, type); unset ones keep the default.
+TUNING_FLAGS = {"f_tol": ("--ftol", float), "max_outer_iterations": ("--max-iters", int)}
 #: ``project --set`` choices and their projections; us_p takes ``--p-success``.
 PROJECTIONS = {"cptp": project_cptp, "cp": project_cp, "tp": project_tp,
                "tni": project_tni, "us_p": project_us_p}
@@ -96,10 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--report", type=Path, default=None,
                      help="report path (default: <out>.report.json)")
     rec.add_argument("--setup", type=Path, default=None)
-    # Each tuning flag's dest is its config field; unset flags keep the
-    # config's default, and lifp takes none.
-    rec.add_argument("--ftol", dest="f_tol", type=float, default=None)
-    rec.add_argument("--max-iters", dest="max_outer_iterations", type=int, default=None)
+    for field, (flag, kind) in TUNING_FLAGS.items():
+        rec.add_argument(flag, dest=field, type=kind, default=None)
 
     proj = sub.add_parser("project", help="project a matrix onto a constraint set")
     proj.add_argument("--in", dest="in_file", type=Path, required=True)
@@ -181,8 +181,12 @@ def _solve(method: str, setup, counts, flags):
 
 
 def _cmd_reconstruct(args) -> int:
-    if args.method == "lifp" and (args.f_tol, args.max_outer_iterations) != (None, None):
-        print("error: --method lifp takes no --ftol or --max-iters", file=sys.stderr)
+    cls = METHODS[args.method]
+    fields = {f.name for f in dataclasses.fields(cls)} if cls else set()
+    stray = [flag for field, (flag, _) in TUNING_FLAGS.items()
+             if getattr(args, field) is not None and field not in fields]
+    if stray:
+        print(f"error: --method {args.method} takes no {' or '.join(stray)}", file=sys.stderr)
         return 2
     counts, info = io.load_counts(_read(args.counts))
     setup = _load_setup_for(info["d"], args.setup)

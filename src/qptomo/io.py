@@ -89,9 +89,11 @@ def _parse_matrix(doc: dict, d2: int, what: str) -> np.ndarray:
         raise DomainError(f"{what}: bad matrix blocks: {err}") from err
     if re.shape != (d2, d2) or im.shape != (d2, d2):
         raise DomainError(f"{what}: matrix blocks must be {d2}x{d2}")
-    # A NaN or infinite entry makes the norm NaN or infinite.
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm([re, im]))
+    # Scaled by the largest entry so that no square overflows; a NaN or
+    # infinite entry makes the norm NaN or infinite.
+    block = np.abs([re, im])
+    scale = float(block.max())
+    norm = scale * float(np.linalg.norm(block / scale)) if 0 < scale < np.inf else scale
     if not norm <= MAX_MATRIX_NORM:
         raise DomainError(
             f"{what}: matrix norm {norm:.3e} is not finite or above {MAX_MATRIX_NORM:g}"

@@ -98,6 +98,11 @@ class TestChoiFileFormat:
         with pytest.raises(DomainError, match="norm"):
             qio.load_choi(qio.dump_choi(np.nextafter(mat, np.inf), 2))
 
+    def test_norm_whose_squares_overflow_is_reported(self):
+        # The square of a 1e160 entry overflows; the norm scaled by it does not.
+        with pytest.raises(DomainError, match=r"norm 1\.000e\+160 "):
+            qio.load_choi(qio.dump_choi(np.diag([1e160, 0.0, 0.0, 0.0]), 2))
+
     @pytest.mark.parametrize("text", ["[1, 2]", "null", '"choi-v1"'])
     def test_rejects_non_object(self, text):
         with pytest.raises(DomainError):
@@ -418,6 +423,7 @@ class TestReconstruct:
                    "--out", est) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert all(flag in err for flag in flags[::2])
         assert not est.exists()
 
     def test_unknown_method_is_usage_error(self, tmp_path, counts_inf):
