@@ -32,7 +32,6 @@ from .errors import (
 from .projections import (
     project_cp,
     project_cptp,
-    project_cptp_dykstra,
     project_tni,
     project_tp,
     project_us_p,

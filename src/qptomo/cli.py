@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--kind", choices=("full", "quasipure"), required=True)
     gen.add_argument("--kraus-rank", type=int, default=None,
                      help="Kraus rank for --kind full (default d^2)")
-    gen.add_argument("--purity-sum", type=float, default=0.9,
+    gen.add_argument("--purity-sum", type=float, default=None,
                      help="target sum of squared mixture weights for quasipure")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", type=Path, required=True)
@@ -124,6 +124,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_map(args) -> int:
+    stray, value = {"full": ("--purity-sum", args.purity_sum),
+                    "quasipure": ("--kraus-rank", args.kraus_rank)}[args.kind]
+    if value is not None:
+        print(f"error: --kind {args.kind} takes no {stray}", file=sys.stderr)
+        return 2
     if args.kind == "full":
         rank = args.kraus_rank if args.kraus_rank is not None else args.d**2
         spec = EnsembleSpec(d=args.d, kraus_rank=rank, kind="full_rank",
@@ -131,10 +136,11 @@ def _cmd_gen_map(args) -> int:
         choi = random_cptp(spec)
         meta = {"kind": "full", "kraus_rank": rank, "seed": args.seed}
     else:
+        given = {} if args.purity_sum is None else {"target_purity_sum": args.purity_sum}
         spec = EnsembleSpec(d=args.d, kraus_rank=1, kind="quasi_pure",
-                            target_purity_sum=args.purity_sum, rng_seed=args.seed)
+                            rng_seed=args.seed, **given)
         choi = random_quasi_pure(spec)
-        meta = {"kind": "quasipure", "purity_sum": args.purity_sum, "seed": args.seed}
+        meta = {"kind": "quasipure", "purity_sum": spec.target_purity_sum, "seed": args.seed}
     purity = float(np.trace(choi @ choi).real) / args.d**2
     min_eig, _ = cptp_residuals(choi)
     meta["purity"] = io._fmt(purity)
@@ -273,6 +279,8 @@ def _cmd_benchmark(args) -> int:
             raise QptError(f"unknown method {m!r}")
     if not (d_list and n_list and methods):
         raise QptError("--d-list, --N-list and --methods each need at least one entry")
+    if any(len(set(entries)) < len(entries) for entries in (d_list, n_list, methods)):
+        raise QptError("--d-list, --N-list and --methods each take an entry at most once")
     if args.trials < 1 or args.seed < 0:
         raise QptError(f"need --trials >= 1 and --seed >= 0, got {args.trials} "
                        f"and {args.seed}")

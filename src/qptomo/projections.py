@@ -27,19 +27,20 @@ Two algorithms compute the closest CPTP point:
   the previous multiplier makes a hot loop of nearby projections cheap.
   The Newton Jacobian uses only the eigenvector pairs with a positive
   eigenvalue.
-* ``project_cptp_dykstra``, the paper's projection, kept for the benchmark
-  and as the tests' reference: Dykstra's alternating TP and CP projections
-  with correction terms, which converge to the closest point of the
-  intersection (plain alternating or averaged projections only reach
-  feasibility). For these two sets Dykstra is dual gradient descent:
-  its CP-step input A = y + q obeys A <- A + ((I - Tr_out P_+(A)) / d) (x) I,
-  a step of 1/L with L = d on the same dual theta(Y) that Newton solves
-  (Gaffke & Mathar 1989; Henrion & Malick 2012). So the loop runs on A
-  alone: one eigendecomposition and a d x d update per iteration, with
-  P_+(A) formed only for the stopping sum once TP holds.
+* ``project_cptp_dykstra``, the paper's projection, kept only for the
+  benchmark and not exported at the top level: Dykstra's alternating TP
+  and CP projections with correction terms, which converge to the closest
+  point of the intersection (plain alternating or averaged projections
+  only reach feasibility). For these two sets Dykstra is dual gradient
+  descent: its CP-step input A = y + q obeys
+  A <- A + ((I - Tr_out P_+(A)) / d) (x) I, a step of 1/L with L = d on the
+  same dual theta(Y) that Newton solves (Gaffke & Mathar 1989; Henrion &
+  Malick 2012). So the loop runs on A alone: one eigendecomposition and a
+  d x d update per iteration, with P_+(A) formed only for the stopping sum
+  once TP holds.
 
-The textbook Dykstra loop and the dense Newton Jacobian are test
-references, in ``tests/reference.py``.
+The textbook Dykstra loop, the tests' reference for the closest CPTP
+point, and the dense Newton Jacobian are in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -126,9 +127,7 @@ def project_tni(c: np.ndarray) -> np.ndarray:
     return _add_out_identity(c, clipped - y, d)
 
 
-def _dykstra(
-    c: np.ndarray, tol: float, max_iterations: int
-) -> tuple[np.ndarray, int, float]:
+def _dykstra(c: np.ndarray) -> tuple[np.ndarray, int, float]:
     """Core Dykstra loop; returns (matrix, iterations, stopping sum).
 
     The loop runs on A = y + q, the input of the CP step (``y`` the TP
@@ -139,44 +138,33 @@ def _dykstra(
     one eigendecomposition of A, the d x d gap from its eigenpairs and the
     update.
 
-    The CP iterate x = P_+(A) and q = A - x are formed only once the TP
-    residual ||gap|| is within ``EPS_TP``, since the stopping sum cannot
-    stop the loop before. The sum over successive corrections and iterates
-    needs x and q of this and the two previous iterations, each formed at
-    most once from the kept (A, w, v). Its TP terms reduce to d x d ones,
-    ||p' - p||^2 = ||gap_prev||^2 / d and <p, x' - x> = <z, gap_prev - gap>
-    with p = z (x) I. At the iteration cap the :class:`ConvergenceError`
-    carries P_+(A) of the last iteration and its TP residual.
+    The stopping sum over successive corrections and iterates needs
+    x = P_+(A) and q = A - x of this and the two previous iterations. They
+    are formed from the kept (A, w, v) only once the TP residual ||gap|| is
+    within ``EPS_TP``, and not memoized: at ``DYKSTRA_TOL`` the first such
+    iteration in practice stops the loop. The sum's TP terms reduce to
+    d x d ones, ||p' - p||^2 = ||gap_prev||^2 / d and
+    <p, x' - x> = <z, gap_prev - gap> with p = z (x) I. After
+    ``MAX_INNER_ITERATIONS`` the :class:`ConvergenceError` carries P_+(A) of
+    the last iteration and its TP residual.
     """
     d = choi_dim(c)
     eye = np.eye(d)
     c = hermitize(np.asarray(c, dtype=complex))
     gap = eye - partial_trace_out(c)
     a = _add_out_identity(c, gap, d)
-    zero = np.zeros_like(a)
-    # [A, w, v, (x, q) or None] of the last three iterations, oldest first.
-    kept = []
-
-    def parts(j):
-        """(x, q) of the j-th newest kept iteration; q = 0 before the first."""
-        if j >= len(kept):
-            return None, zero
-        entry = kept[-1 - j]
-        if entry[3] is None:
-            x = _positive_part(entry[1], entry[2])
-            entry[3] = (x, entry[0] - x)
-        return entry[3]
-
+    kept = []  # (A, w, v) of the last three iterations, oldest first
     tp_res = stop_sum = np.inf
-    for k in range(max_iterations):
+    for k in range(MAX_INNER_ITERATIONS):
         w, v = eigh(a)
         gap_new = eye - _tr_out_positive(w, v, d)
         tp_res = float(np.vdot(gap_new, gap_new).real) ** 0.5
-        kept = kept[-2:] + [[a, w, v, None]]
+        kept = kept[-2:] + [(a, w, v)]
         if k >= 1 and tp_res <= EPS_TP:
-            x, q = parts(0)
-            _, q_prev = parts(1)
-            _, q_prev2 = parts(2)
+            x = _positive_part(w, v)
+            # q = A - P_+(A) of this and the two previous iterations, 0 before the first.
+            qs = [a - x] + [b - _positive_part(*eig) for b, *eig in kept[-2::-1]]
+            q, q_prev, q_prev2 = (qs + [0.0])[:3]
             # A = C + Y (x) I, Y the sum of the gaps / d added so far; the
             # TP correction z is -Y before the last of them.
             z = (gap - partial_trace_out(a - c)) / d
@@ -187,14 +175,14 @@ def _dykstra(
                 + 2.0 * abs(np.vdot(z, gap - gap_new))
                 + 2.0 * abs(np.vdot(q_prev, (a - q_prev) - (kept[-2][0] - q_prev2)))
             )
-            if stop_sum <= tol:
+            if stop_sum <= DYKSTRA_TOL:
                 return x, k + 1, stop_sum
         gap = gap_new
         a = _add_out_identity(a, gap, d)
     raise ConvergenceError(
-        f"Dykstra projection did not converge in {max_iterations} iterations "
+        f"Dykstra projection did not converge in {MAX_INNER_ITERATIONS} iterations "
         f"(TP residual {tp_res:.3e}, last stopping sum {stop_sum:.3e})",
-        last_iterate=parts(0)[0],
+        last_iterate=_positive_part(w, v),
         residual=tp_res,
     )
 
@@ -209,7 +197,7 @@ def project_cptp_dykstra(c: np.ndarray) -> np.ndarray:
     ``DYKSTRA_TOL`` and the TP residual is within ``EPS_TP``; it always runs
     at least two iterations because the sum compares successive corrections.
     """
-    return _dykstra(c, DYKSTRA_TOL, MAX_INNER_ITERATIONS)[0]
+    return _dykstra(c)[0]
 
 
 def _newton_jacobian(w: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:

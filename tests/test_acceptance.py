@@ -28,11 +28,11 @@ from qptomo import (
     solve_linear_inversion,
     solve_pgdb,
 )
+from qptomo import projections
 from qptomo.channel import build_design, condition_probs, forward_probs
 from qptomo.cli import main as cli_main
 from qptomo.ensembles import quasi_pure_weights
 from qptomo.linalg import kron, partial_trace_out
-from qptomo.projections import MAX_INNER_ITERATIONS, _dykstra
 from qptomo.solvers import DiaConfig, PgdbConfig, gradient
 from conftest import cptp_pool, random_hermitian
 from reference import design_condition_number, vec
@@ -62,8 +62,9 @@ def trial_seeds(*key):
     return tuple(int(s) for s in seq.generate_state(2, dtype=np.uint64))
 
 
-def test_criterion_01_cptp_projection():
+def test_criterion_01_cptp_projection(monkeypatch):
     """Dykstra and dual Newton outputs: CP/TP residuals, variational inequality."""
+    monkeypatch.setattr(projections, "DYKSTRA_TOL", 1e-12)
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = {"eig": 0.0, "tp": 0.0, "vi": -np.inf}
@@ -72,7 +73,7 @@ def test_criterion_01_cptp_projection():
         pool = np.stack([vec(b) for b in cptp_pool(d, 1000, seed=9000 + d)])
         for _ in range(100):
             c = random_hermitian(rng, d2, scale=float(d))
-            for proj in (_dykstra(c, 1e-12, MAX_INNER_ITERATIONS)[0], project_cptp(c)):
+            for proj in (projections._dykstra(c)[0], project_cptp(c)):
                 worst["eig"] = min(worst["eig"], float(np.linalg.eigvalsh(proj).min()))
                 worst["tp"] = max(
                     worst["tp"],

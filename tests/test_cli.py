@@ -16,6 +16,7 @@ import qptomo
 from qptomo import io as qio
 from qptomo import (
     DomainError,
+    EnsembleSpec,
     is_cptp,
     j_distance,
     minimal_setup,
@@ -169,6 +170,7 @@ class TestGenMap:
                    "--out", out) == 0
         mat, d, meta = qio.load_choi(out.read_text())
         assert float(meta["purity"]) >= 0.9
+        assert float(meta["purity_sum"]) == EnsembleSpec(d=2, kraus_rank=1).target_purity_sum
         assert np.trace(mat @ mat).real / 4 >= 0.9 - 1e-9
         printed = capsys.readouterr().out
         assert "purity" in printed and "min eigenvalue" in printed
@@ -179,6 +181,17 @@ class TestGenMap:
             assert run("gen-map", "--d", 2, "--kind", "full", "--kraus-rank", 4,
                        "--seed", 7, "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "quasipure", "--kraus-rank", 5),
+        ("--kind", "full", "--purity-sum", 0.3),
+    ], ids=["quasipure-kraus-rank", "full-purity-sum"])
+    def test_flag_of_the_other_kind_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "map.json"
+        assert run("gen-map", "--d", 2, *argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_d1_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -655,10 +668,19 @@ class TestBenchmark:
         assert run("benchmark", "--d-list", "2", "--N-list", "10",
                    "--methods", "sorcery", "--out", tmp_path / "x.csv") == 1
 
-    @pytest.mark.parametrize("flag", ["--d-list", "--N-list", "--methods"])
-    def test_empty_list_is_data_error(self, tmp_path, capsys, flag):
+    # A repeated entry, compared after parsing, would write duplicate rows.
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param("--d-list", ",", id="--d-list"),
+        pytest.param("--N-list", ",", id="--N-list"),
+        pytest.param("--methods", ",", id="--methods"),
+        pytest.param("--d-list", "2,2", id="--d-list-repeated"),
+        pytest.param("--N-list", "inf,INF", id="--N-list-repeated-inf"),
+        pytest.param("--N-list", "10,010", id="--N-list-repeated"),
+        pytest.param("--methods", "lifp,lifp", id="--methods-repeated"),
+    ])
+    def test_empty_list_is_data_error(self, tmp_path, capsys, flag, value):
         argv = {"--d-list": "2", "--N-list": "10", "--methods": "lifp"}
-        argv[flag] = ","
+        argv[flag] = value
         out = tmp_path / "x.csv"
         assert run("benchmark", *(x for kv in argv.items() for x in kv),
                    "--out", out) == 1

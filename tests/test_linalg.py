@@ -13,7 +13,6 @@ from qptomo import (
     is_cptp,
     j_distance,
     project_cptp,
-    project_cptp_dykstra,
 )
 from qptomo.linalg import (
     eigh,
@@ -23,7 +22,7 @@ from qptomo.linalg import (
     psd_sqrt_inv,
     trace_norm,
 )
-from qptomo.projections import _project_cptp_dual
+from qptomo.projections import _project_cptp_dual, project_cptp_dykstra
 from qptomo.solvers import _dia_update, solve_linear_inversion
 from conftest import random_hermitian
 from reference import frobenius_inner, partial_trace_in, vec, vec_inv

@@ -10,7 +10,6 @@ from qptomo import (
     EnsembleSpec,
     choi_from_kraus,
     project_cp,
-    project_cptp_dykstra,
     project_tni,
     project_tp,
     project_us_p,
@@ -20,13 +19,12 @@ from qptomo import projections
 from qptomo.channel import EPS_TP
 from qptomo.linalg import hermitize, kron, partial_trace_out
 from qptomo.projections import (
-    DYKSTRA_TOL,
-    MAX_INNER_ITERATIONS,
     _dykstra,
     _newton_direction,
     _newton_jacobian,
     _project_cptp_dual,
     _scalar_multiplier,
+    project_cptp_dykstra,
 )
 from conftest import cptp_pool, random_hermitian
 from reference import (
@@ -235,6 +233,17 @@ class TestMOperator:
         assert np.abs(m.conj().T @ m - literal).max() < 1e-12
 
 
+@pytest.fixture
+def dykstra_at(monkeypatch):
+    """``_dykstra`` with its stopping bound ``DYKSTRA_TOL`` set to ``tol``."""
+
+    def run(c, tol):
+        monkeypatch.setattr(projections, "DYKSTRA_TOL", tol)
+        return _dykstra(c)
+
+    return run
+
+
 class TestDykstra:
     def test_fixed_points(self):
         for c in (identity_choi(2), np.eye(4) / 2):
@@ -243,29 +252,30 @@ class TestDykstra:
 
     def test_runs_the_core_loop_at_the_defaults(self):
         c = random_hermitian(np.random.default_rng(840), 9, scale=3.0)
-        want = _dykstra(c, DYKSTRA_TOL, MAX_INNER_ITERATIONS)[0]
+        want = _dykstra(c)[0]
         assert project_cptp_dykstra(c).tobytes() == want.tobytes()
 
-    def test_output_is_cptp(self):
-        out = _dykstra(C_BOX, 1e-10, MAX_INNER_ITERATIONS)[0]
+    def test_output_is_cptp(self, dykstra_at):
+        out = dykstra_at(C_BOX, 1e-10)[0]
         assert np.linalg.eigvalsh(out).min() >= -1e-10
         assert np.abs(partial_trace_out(out) - np.eye(2)).max() < 1e-6
 
-    def test_closest_point_by_sampling(self):
-        out = _dykstra(C_BOX, 1e-10, MAX_INNER_ITERATIONS)[0]
+    def test_closest_point_by_sampling(self, dykstra_at):
+        out = dykstra_at(C_BOX, 1e-10)[0]
         dist = np.linalg.norm(C_BOX - out)
         for b in cptp_pool(2, 1000, seed=5000):
             assert dist <= np.linalg.norm(C_BOX - b) + 1e-3
 
-    def test_variational_inequality(self):
+    def test_variational_inequality(self, dykstra_at):
         c = random_hermitian(RNG, 4, scale=2.0)
-        out = _dykstra(c, 1e-12, MAX_INNER_ITERATIONS)[0]
+        out = dykstra_at(c, 1e-12)[0]
         for b in cptp_pool(2, 200, seed=6000):
             assert frobenius_inner(c - out, b - out) <= 1e-6
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, dykstra_at, monkeypatch):
+        monkeypatch.setattr(projections, "MAX_INNER_ITERATIONS", 3)
         with pytest.raises(ConvergenceError) as excinfo:
-            _dykstra(C_BOX, 1e-10, 3)
+            dykstra_at(C_BOX, 1e-10)
         assert excinfo.value.last_iterate is not None
         assert excinfo.value.residual is not None
         # The stopping sum is formed only once TP holds, so the message
@@ -280,8 +290,8 @@ class TestDykstra:
     def test_positive_part_formed_only_once_tp_holds(self, monkeypatch):
         # An iteration costs one eigendecomposition and the d x d partial
         # trace from its eigenpairs; P_+ is formed for the stopping sum only,
-        # at most once per iteration that passes the TP test, plus the two
-        # iterations before the first of them.
+        # of the three kept iterations on an iteration that passes the TP
+        # test. At DYKSTRA_TOL the first such iteration stops the loop.
         d = 3
         formed = []
         residuals = []
@@ -303,9 +313,7 @@ class TestDykstra:
         for _ in range(20):
             formed.clear()
             residuals.clear()
-            _, iterations, _ = _dykstra(
-                random_hermitian(rng, d * d, scale=float(d)), 1e-4, MAX_INNER_ITERATIONS
-            )
+            _, iterations, _ = _dykstra(random_hermitian(rng, d * d, scale=float(d)))
             assert len(residuals) == iterations
             passing = sum(1 for res in residuals[1:] if res <= EPS_TP)
             assert 1 <= len(formed) <= passing + 2
@@ -315,8 +323,8 @@ class TestDykstraAgainstTextbook:
     """The d x d TP correction against the loop with the full correction."""
 
     @staticmethod
-    def assert_same_run(c, tol):
-        mat, iterations, stop_sum = _dykstra(c, tol, MAX_INNER_ITERATIONS)
+    def assert_same_run(dykstra_at, c, tol):
+        mat, iterations, stop_sum = dykstra_at(c, tol)
         ref_mat, ref_iterations, ref_stop_sum = dykstra_textbook(c, tol)
         assert iterations == ref_iterations
         assert np.abs(mat - ref_mat).max() < 1e-12
@@ -324,14 +332,14 @@ class TestDykstraAgainstTextbook:
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-10])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_random_hermitians(self, d, tol):
+    def test_random_hermitians(self, dykstra_at, d, tol):
         rng = np.random.default_rng(800 + d)
         for _ in range(20):
-            self.assert_same_run(random_hermitian(rng, d * d, scale=float(d)), tol)
+            self.assert_same_run(dykstra_at, random_hermitian(rng, d * d, scale=float(d)), tol)
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-10])
-    def test_c_box(self, tol):
-        self.assert_same_run(C_BOX, tol)
+    def test_c_box(self, dykstra_at, tol):
+        self.assert_same_run(dykstra_at, C_BOX, tol)
 
 
 def random_unitary(rng, d):
@@ -350,7 +358,7 @@ class TestDualNewton:
         for _ in range(4):
             c = random_hermitian(rng, d * d, scale=float(d))
             out, _, _ = _project_cptp_dual(c)
-            assert np.abs(out - _dykstra(c, 1e-12, MAX_INNER_ITERATIONS)[0]).max() < 1e-6
+            assert np.abs(out - dykstra_textbook(c, 1e-12)[0]).max() < 1e-6
             assert np.linalg.eigvalsh(out).min() >= -1e-12
             assert np.linalg.norm(partial_trace_out(out) - np.eye(d)) <= 1e-12
             vi = ((pool - vec(out)) @ vec(c - out).conj()).real
@@ -484,7 +492,7 @@ class TestAveragedProjection:
 
     def test_dykstra_is_at_least_as_close(self):
         averaged = project_cptp_averaged(C_BOX, tol=1e-10)
-        dykstra = _dykstra(C_BOX, 1e-10, MAX_INNER_ITERATIONS)[0]
+        dykstra = dykstra_textbook(C_BOX, 1e-10)[0]
         d_avg = np.linalg.norm(C_BOX - averaged)
         d_dyk = np.linalg.norm(C_BOX - dykstra)
         assert d_avg >= d_dyk - 1e-6

@@ -36,6 +36,7 @@ from reference import (
     design_condition_number,
     dia_trials_kron,
     dia_update_kron,
+    dykstra_textbook,
     linear_inversion_dense,
     newton_direction_dense,
     vec,
@@ -126,7 +127,7 @@ class TestPgdb:
         assert report.status == "converged"
         mu = 3.0 / (2.0 * 4.0)
         step = est - gradient(est, setup2, counts) / mu
-        mapped = projections._dykstra(step, 1e-10, projections.MAX_INNER_ITERATIONS)[0]
+        mapped = dykstra_textbook(step, 1e-10)[0]
         assert np.linalg.norm(mapped - est) <= 1e-5
 
     def test_iterates_stay_cptp(self, setup2, noisy_data):
